@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from ionsampler.detection import DetectionParams, measure_mode
+from ionsampler.detection import DetectionParams, measure_modes
 
 
 def main() -> None:
@@ -29,14 +29,11 @@ def main() -> None:
     for f in args.fidelities:
         params = DetectionParams(readout_fidelity=f)
         rng = np.random.default_rng(args.seed)
-        wrong = overflow = 0
-        for _ in range(args.trials):
-            readout = measure_mode(args.true_n, params, rng)
-            wrong += readout.reported_n != args.true_n
-            overflow += readout.overflow
+        reported = measure_modes(np.full(args.trials, args.true_n), params, rng)
+        wrong = np.mean(reported != args.true_n)
+        overflow = np.mean(reported == params.max_repetitions)
         predicted = 1.0 - f ** (args.true_n + 1)
-        print(f"{f:>7.3f}  {wrong / args.trials:>10.5f}  {predicted:>10.5f}  "
-              f"{overflow / args.trials:>9.2e}")
+        print(f"{f:>7.3f}  {wrong:>10.5f}  {predicted:>10.5f}  {overflow:>9.2e}")
 
 
 if __name__ == "__main__":

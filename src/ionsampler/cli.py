@@ -64,6 +64,8 @@ def _print_report(report: dict) -> None:
     for key, label in _REPORT_LABELS.items():
         if key in report:
             print(f"  {label}: {report[key]:.6e}")
+    for key, reason in report.get("skipped", {}).items():
+        print(f"  skipped {_REPORT_LABELS.get(key, key)}: {reason}")
     for stage, seconds in report.get("timings_s", {}).items():
         print(f"  time[{stage}]: {seconds:.3f} s")
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .dd_compiler import SCHEMES
 from .detection import DetectionParams
 from .ion_chain import TrapParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 TARGET_KINDS = ("identity", "fourier", "haar", "file")
-DD_SCHEMES = ("nn", "hadamard")
 
 
 class ConfigError(ValueError):
@@ -47,10 +47,9 @@ class SamplingSpec:
 
 
 @dataclass(frozen=True)
-class DetectionSpec:
-    readout_fidelity: float = 0.99
-    prep_error: float = 0.01
-    max_repetitions: int = 10
+class DetectionSpec(DetectionParams):
+    """The detection parameters plus the seed of the detect stage."""
+
     seed: int = 0
 
 
@@ -75,26 +74,13 @@ class RunConfig:
     def num_ions(self) -> int:
         return self.trap.num_ions
 
-    @property
-    def detection_params(self) -> DetectionParams:
-        return DetectionParams(
-            readout_fidelity=self.detection.readout_fidelity,
-            prep_error=self.detection.prep_error,
-            max_repetitions=self.detection.max_repetitions,
-        )
-
     def with_seed(self, seed: int) -> "RunConfig":
         """Copy with every stage seed replaced by ``seed``."""
-        target = TargetSpec(self.target.kind, seed, self.target.path)
-        sampling = SamplingSpec(self.sampling.num_samples, seed)
-        detection = DetectionSpec(
-            self.detection.readout_fidelity,
-            self.detection.prep_error,
-            self.detection.max_repetitions,
-            seed,
-        )
-        return RunConfig(
-            self.trap, self.occupations, target, self.dd, sampling, detection, self.tolerances
+        return replace(
+            self,
+            target=replace(self.target, seed=seed),
+            sampling=replace(self.sampling, seed=seed),
+            detection=replace(self.detection, seed=seed),
         )
 
 
@@ -220,7 +206,7 @@ def parse_config(data: dict) -> RunConfig:
     else:
         dd = DDSpec(
             n_sub=dd_sec.integer("n_sub", required=False, default=16, minimum=1),
-            scheme=dd_sec.string("scheme", required=False, default="hadamard", choices=DD_SCHEMES),
+            scheme=dd_sec.string("scheme", required=False, default="hadamard", choices=SCHEMES),
         )
         dd_sec.finish()
 
@@ -238,19 +224,17 @@ def parse_config(data: dict) -> RunConfig:
     if det_sec is None:
         detection = DetectionSpec()
     else:
-        detection = DetectionSpec(
+        det_fields = dict(
             readout_fidelity=det_sec.number("readout_fidelity", required=False, default=0.99),
             prep_error=det_sec.number("prep_error", required=False, default=0.01),
             max_repetitions=det_sec.integer("max_repetitions", required=False, default=10, minimum=1),
             seed=det_sec.integer("seed", required=False, default=0),
         )
         det_sec.finish()
-    try:
-        DetectionParams(
-            detection.readout_fidelity, detection.prep_error, detection.max_repetitions
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.detection: {exc}") from exc
+        try:
+            detection = DetectionSpec(**det_fields)
+        except ValueError as exc:
+            raise ConfigError(f"config.detection: {exc}") from exc
 
     tol_sec = root.subsection("tolerances", required=False)
     if tol_sec is None:

@@ -38,6 +38,8 @@ from .linear_optics import (
     BSElement,
     ElementSequence,
     PhaseElement,
+    _check_pair,
+    assert_hermitian,
     assert_unitary,
     reck_decompose,
 )
@@ -155,15 +157,6 @@ class SignPattern:
     def __post_init__(self):
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +/-1")
-
-    def pair_weight(self, i: int, k: int) -> int:
-        """Sign carried by coupling (i, k) during this slice (modes 1-based)."""
-        return self.signs[i - 1] * self.signs[k - 1]
-
-
-def _check_pair(j: int, dim: int) -> None:
-    if not 1 <= j <= dim - 1:
-        raise ValueError(f"pair index {j} outside 1..{dim - 1}")
 
 
 def nn_isolation_pattern(dim: int, pair_index: int) -> SignPattern:
@@ -350,13 +343,11 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     reused for all segments); phase events multiply in as diagonal
     matrices.  Steps compose in list order.
     """
-    k = np.asarray(getattr(coupling, "rates", coupling))
+    k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
         raise ValueError(
             f"coupling dim {k.shape[0]} does not match schedule dim {schedule.dim}"
         )
-    if np.max(np.abs(k - k.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(k))):
-        raise ValueError("coupling matrix is not Hermitian")
     w, v = np.linalg.eigh(k)
     total = np.eye(schedule.dim, dtype=complex)
     for step in schedule.steps:

@@ -11,9 +11,12 @@ after exactly n dark rounds — the counting that makes the protocol a
 number-resolving detector.
 
 Preparation noise is a symmetric +/-1 phonon leak of total weight eps
-around the target number.  All randomness flows from numpy SeedSequence
-substreams assigned per mode index, so chains reproduce bit-for-bit from
-one master seed regardless of evaluation order.
+around the target number.  The kernels take a whole array of modes and
+one generator: the preparation noise is one uniform per mode, then the
+readout runs round by round with one uniform for each mode still dark.
+A single mode therefore consumes the same draws as a scalar loop, and a
+seeded run reproduces bit-for-bit.  ``measure_chain`` gives each mode its
+own substream, spawned by mode index from one seed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "DetectionParams",
     "ModeReadout",
     "prepare_mode_distribution",
+    "prepare_occupations",
+    "measure_modes",
     "sample_prepared_occupation",
     "measure_mode",
     "measure_chain",
@@ -86,15 +91,49 @@ def prepare_mode_distribution(n_target: int, eps: float) -> dict[int, float]:
     return dict(sorted(dist.items()))
 
 
+def prepare_occupations(n_target, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw each entry of ``n_target`` from :func:`prepare_mode_distribution`,
+    by one uniform per entry (C order) against the cumulative weights."""
+    n_target = np.asarray(n_target, dtype=np.int64)
+    u = rng.random(n_target.shape)
+    prepared = np.empty_like(n_target)
+    for n in np.unique(n_target):
+        dist = prepare_mode_distribution(int(n), eps)
+        where = n_target == n
+        # the first cumulative weight above u picks; rounding past the last takes the last
+        pick = np.searchsorted(np.cumsum(list(dist.values())), u[where], side="right")
+        prepared[where] = np.array(list(dist))[np.minimum(pick, len(dist) - 1)]
+    return prepared
+
+
+def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> np.ndarray:
+    """Reported phonon numbers (= repetitions) of the readout of every mode.
+
+    Round r draws one uniform for each mode still dark, in C order; a mode
+    stops at its first reported bright and reports r.  Modes still dark
+    after ``params.max_repetitions`` rounds report the cap (overflow).
+    """
+    true_n = np.asarray(true_n, dtype=np.int64)
+    if (true_n < 0).any():
+        raise ValueError("true_n must be >= 0")
+    reported = np.full(true_n.size, params.max_repetitions, dtype=np.int64)
+    dark = np.arange(true_n.size)
+    dark_n = true_n.ravel()
+    for rounds_before in range(params.max_repetitions):
+        if not dark.size:
+            break
+        honest = rng.random(dark.size) < params.readout_fidelity
+        # truly bright once every phonon has been transferred out
+        bright = (dark_n <= rounds_before) == honest
+        reported[dark[bright]] = rounds_before
+        still_dark = ~bright
+        dark, dark_n = dark[still_dark], dark_n[still_dark]
+    return reported.reshape(true_n.shape)
+
+
 def sample_prepared_occupation(n_target: int, eps: float, rng: np.random.Generator) -> int:
     """Draw one phonon number from :func:`prepare_mode_distribution`."""
-    u = rng.random()
-    acc = 0.0
-    for value, weight in prepare_mode_distribution(n_target, eps).items():
-        acc += weight
-        if u < acc:
-            return value
-    return value  # numerical tail: u landed within eps of 1
+    return int(prepare_occupations([n_target], eps, rng)[0])
 
 
 def measure_mode(true_n: int, params: DetectionParams, rng: np.random.Generator) -> ModeReadout:
@@ -103,19 +142,8 @@ def measure_mode(true_n: int, params: DetectionParams, rng: np.random.Generator)
     Rounds run until the first *reported* bright or until
     ``params.max_repetitions`` rounds have elapsed (overflow).
     """
-    if true_n < 0:
-        raise ValueError("true_n must be >= 0")
-    f = params.readout_fidelity
-    remaining = true_n
-    for rounds_before in range(params.max_repetitions):
-        truly_bright = remaining == 0
-        honest = rng.random() < f
-        if truly_bright == honest:  # reported bright: truth and honesty agree
-            return ModeReadout(reported_n=rounds_before, repetitions=rounds_before)
-        if remaining > 0:
-            remaining -= 1  # the transfer fires regardless of the readout
-    cap = params.max_repetitions
-    return ModeReadout(reported_n=cap, repetitions=cap, overflow=True)
+    reported = int(measure_modes([true_n], params, rng)[0])
+    return ModeReadout(reported, reported, reported == params.max_repetitions)
 
 
 def measure_chain(occupations, params: DetectionParams, seed) -> list[ModeReadout]:
@@ -125,14 +153,8 @@ def measure_chain(occupations, params: DetectionParams, seed) -> list[ModeReadou
     modes could be simulated in any order (or in parallel) without
     changing the outcome.
     """
-    occ = [int(x) for x in occupations]
-    if any(n < 0 for n in occ):
-        raise ValueError("occupations must be nonnegative")
-    streams = np.random.SeedSequence(seed).spawn(len(occ))
-    return [
-        measure_mode(n, params, np.random.Generator(np.random.PCG64(sub)))
-        for n, sub in zip(occ, streams)
-    ]
+    streams = np.random.SeedSequence(seed).spawn(len(occupations))
+    return [measure_mode(n, params, np.random.default_rng(s)) for n, s in zip(occupations, streams)]
 
 
 def readouts_to_csv(records, fh) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "assert_unitary",
+    "assert_hermitian",
     "beam_splitter_unitary",
     "phase_unitary",
     "evolve_modes",
@@ -49,6 +50,18 @@ def assert_unitary(matrix, tol: float = 1e-10) -> np.ndarray:
     if defect > tol:
         raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
     return u
+
+
+def assert_hermitian(generator) -> np.ndarray:
+    """Validate a square Hermitian generator (array or ``CouplingMatrix``);
+    return it as an array.  The defect is judged relative to the largest entry."""
+    k = np.asarray(getattr(generator, "rates", generator))
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError(f"expected a square generator, got shape {k.shape}")
+    herm_defect = np.max(np.abs(k - k.conj().T))
+    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(k))):
+        raise ValueError(f"generator is not Hermitian: defect {herm_defect:.3e}")
+    return k
 
 
 def _check_mode(i: int, dim: int) -> None:
@@ -94,13 +107,7 @@ def evolve_modes(coupling, duration: float) -> np.ndarray:
     plain Hermitian array.  The exponential is computed from the
     eigendecomposition, so the result is unitary to machine precision.
     """
-    k = np.asarray(getattr(coupling, "rates", coupling))
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError(f"expected a square generator, got shape {k.shape}")
-    herm_defect = np.max(np.abs(k - k.conj().T))
-    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(k))):
-        raise ValueError(f"generator is not Hermitian: defect {herm_defect:.3e}")
-    w, v = np.linalg.eigh(k)
+    w, v = np.linalg.eigh(assert_hermitian(coupling))
     return (v * np.exp(-1j * w * duration)) @ v.conj().T
 
 

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -213,9 +214,31 @@ class TestDistributions:
         probs = dict(zip(dist.outcomes, dist.probabilities))
         assert probs[(0, 2, 1)] == pytest.approx(1.0, abs=1e-10)
 
+    def test_haar_matches_fock_oracle_at_pipeline_size(self):
+        # the 8-ion pipeline's target and input: a 1716-state Fock basis
+        u = haar_unitary(8, seed=3)
+        inputs = (1, 1, 1, 1, 1, 1, 0, 0)
+        exact = exact_distribution(u, inputs)
+        oracle = fock_oracle_distribution(u, inputs)
+        assert len(oracle.outcomes) == 1716
+        assert total_variation_distance(exact, oracle) < 1e-8
+
     def test_fock_dimension_guard(self):
         with pytest.raises(ValueError):
             fock_oracle_distribution(np.eye(3), (2, 2, 2), max_dim=5)
+
+    def test_fock_guard_refuses_before_allocating(self):
+        # M = N = 20 has C(39, 19) ~ 6.9e10 states; the guard must trip on
+        # the count alone, before any basis, generator or import is built
+        u = haar_unitary(20, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds guard"):
+                fock_oracle_distribution(u, (1,) * 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @given(seed=st.integers(0, 5_000), dim=st.integers(2, 4), bosons=st.integers(1, 3))
     @settings(max_examples=30)

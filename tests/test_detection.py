@@ -14,6 +14,7 @@ from ionsampler.detection import (
     ModeReadout,
     measure_chain,
     measure_mode,
+    measure_modes,
     prepare_mode_distribution,
     readouts_to_csv,
     sample_prepared_occupation,
@@ -35,9 +36,14 @@ class _ScriptedRng:
         self._coins = iter(honest_script)
         self._f = fidelity
 
-    def random(self):
+    def _draw(self):
         # any value below f reads as an honest readout inside measure_mode
         return self._f / 2 if next(self._coins) else (1 + self._f) / 2
+
+    def random(self, size=None):
+        if size is None:
+            return self._draw()
+        return np.array([self._draw() for _ in range(size)])
 
 
 def pmf_by_path_enumeration(true_n, params):
@@ -162,6 +168,25 @@ class TestMeasureMode:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             measure_mode(-1, PERFECT, np.random.default_rng(0))
+
+
+class TestMeasureModes:
+    def test_perfect_readout_reproduces_array(self):
+        true_n = np.arange(12).reshape(3, 4) % 10
+        reported = measure_modes(true_n, PERFECT, np.random.default_rng(0))
+        np.testing.assert_array_equal(reported, true_n)
+
+    def test_overflow_at_cap(self):
+        # with a perfect readout a mode overflows exactly when n >= cap
+        params = DetectionParams(readout_fidelity=1.0, max_repetitions=4)
+        true_n = np.arange(8)
+        reported = measure_modes(true_n, params, np.random.default_rng(2))
+        np.testing.assert_array_equal(reported, np.minimum(true_n, 4))
+        np.testing.assert_array_equal(reported == 4, true_n >= 4)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            measure_modes([1, -1], PERFECT, np.random.default_rng(0))
 
 
 class TestMeasureChain:

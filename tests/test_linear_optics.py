@@ -4,6 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionsampler.boson_stats import fock_oracle_distribution
+from ionsampler.dd_compiler import PulseSchedule, simulate_schedule
 from ionsampler.linear_optics import (
     BSElement,
     ElementSequence,
@@ -92,6 +94,19 @@ class TestEvolveModes:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             evolve_modes(np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            lambda k: evolve_modes(k, 1.0),
+            lambda k: simulate_schedule(k, PulseSchedule(2)),
+            lambda k: fock_oracle_distribution(k, (1, 0), duration=1.0),
+        ],
+        ids=["evolve_modes", "simulate_schedule", "fock_oracle"],
+    )
+    def test_generator_consumers_share_hermitian_check(self, consume):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            consume(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestReckDecomposition:
