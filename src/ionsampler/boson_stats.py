@@ -213,7 +213,7 @@ class OutcomeDistribution:
         return float(self.probabilities.sum())
 
 
-def _distribution_from_probs(matrix, inputs, provenance, probs, norm_tol):
+def _distribution_from_probs(inputs, provenance, probs, norm_tol):
     t = _occupation(inputs)
     m, n = len(t), sum(t)
     outcomes = enumerate_outcomes(m, n)
@@ -232,7 +232,7 @@ def exact_distribution(matrix, inputs, norm_tol: float = 1e-9) -> OutcomeDistrib
     u = assert_unitary(matrix)
     t = _occupation(inputs, u.shape[0])
     probs = [outcome_probability(u, s, t) for s in enumerate_outcomes(len(t), sum(t))]
-    return _distribution_from_probs(u, t, "exact", probs, norm_tol)
+    return _distribution_from_probs(t, "exact", probs, norm_tol)
 
 
 def _lift_generator(h: np.ndarray, basis: list[tuple[int, ...]]):
@@ -299,7 +299,7 @@ def fock_oracle_distribution(
     start = np.zeros(len(basis), dtype=complex)
     start[basis.index(t)] = 1.0
     amps = expm_multiply(-1j * time * _lift_generator(h, basis), start)
-    return _distribution_from_probs(None, t, "fock_oracle", np.abs(amps) ** 2, norm_tol)
+    return _distribution_from_probs(t, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:

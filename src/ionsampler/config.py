@@ -21,6 +21,7 @@ from .ion_chain import TrapParams
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 TARGET_KINDS = ("identity", "fourier", "haar", "file")
+_REQUIRED = object()  # the default of a field that must be present
 
 
 class ConfigError(ValueError):
@@ -95,17 +96,17 @@ class _Section:
         self.path = path
         self.seen: set[str] = set()
 
-    def _get(self, key, required, default):
+    def _get(self, key, default):
         self.seen.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: required field missing")
-            return default
-        return self.data[key]
+        if key in self.data:
+            return self.data[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.path}.{key}: required field missing")
+        return default
 
-    def number(self, key, required=True, default=None, minimum=None):
-        value = self._get(key, required, default)
-        if value is default and not required and key not in self.data:
+    def number(self, key, default=_REQUIRED, minimum=None):
+        value = self._get(key, default)
+        if key not in self.data:
             return default
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
             raise ConfigError(f"{self.path}.{key}: expected a finite number, got {value!r}")
@@ -113,9 +114,9 @@ class _Section:
             raise ConfigError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
         return float(value)
 
-    def integer(self, key, required=True, default=None, minimum=None):
-        value = self._get(key, required, default)
-        if value is default and not required and key not in self.data:
+    def integer(self, key, default=_REQUIRED, minimum=None):
+        value = self._get(key, default)
+        if key not in self.data:
             return default
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{self.path}.{key}: expected an integer, got {value!r}")
@@ -123,9 +124,9 @@ class _Section:
             raise ConfigError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
         return value
 
-    def string(self, key, required=True, default=None, choices=None):
-        value = self._get(key, required, default)
-        if value is default and not required and key not in self.data:
+    def string(self, key, default=_REQUIRED, choices=None):
+        value = self._get(key, default)
+        if key not in self.data:
             return default
         if not isinstance(value, str):
             raise ConfigError(f"{self.path}.{key}: expected a string, got {value!r}")
@@ -136,18 +137,15 @@ class _Section:
         return value
 
     def int_list(self, key):
-        value = self._get(key, True, None)
+        value = self._get(key, _REQUIRED)
         if not isinstance(value, list) or any(
             not isinstance(x, int) or isinstance(x, bool) for x in value
         ):
             raise ConfigError(f"{self.path}.{key}: expected a list of integers")
         return [int(x) for x in value]
 
-    def subsection(self, key, required=True):
-        value = self._get(key, required, None)
-        if value is None and not required:
-            return None
-        return _Section(value, f"{self.path}.{key}")
+    def subsection(self, key, default=_REQUIRED):
+        return _Section(self._get(key, default), f"{self.path}.{key}")
 
     def finish(self):
         unknown = set(self.data) - self.seen
@@ -192,60 +190,50 @@ def parse_config(data: dict) -> RunConfig:
 
     target_sec = root.subsection("target")
     kind = target_sec.string("kind", choices=TARGET_KINDS)
-    seed = target_sec.integer("seed", required=False)
-    path = target_sec.string("path", required=False)
+    seed = target_sec.integer("seed", default=None)
+    path = target_sec.string("path", default=None)
     target_sec.finish()
     if kind == "haar" and seed is None:
         raise ConfigError("config.target.seed: required for kind 'haar'")
     if kind == "file" and path is None:
         raise ConfigError("config.target.path: required for kind 'file'")
 
-    dd_sec = root.subsection("dd", required=False)
-    if dd_sec is None:
-        dd = DDSpec()
-    else:
-        dd = DDSpec(
-            n_sub=dd_sec.integer("n_sub", required=False, default=16, minimum=1),
-            scheme=dd_sec.string("scheme", required=False, default="hadamard", choices=SCHEMES),
-        )
-        dd_sec.finish()
+    dd_sec = root.subsection("dd", default={})
+    dd = DDSpec(
+        n_sub=dd_sec.integer("n_sub", default=DDSpec.n_sub, minimum=1),
+        scheme=dd_sec.string("scheme", default=DDSpec.scheme, choices=SCHEMES),
+    )
+    dd_sec.finish()
 
-    sampling_sec = root.subsection("sampling", required=False)
-    if sampling_sec is None:
-        sampling = SamplingSpec()
-    else:
-        sampling = SamplingSpec(
-            num_samples=sampling_sec.integer("num_samples", required=False, default=1000, minimum=1),
-            seed=sampling_sec.integer("seed", required=False, default=0),
-        )
-        sampling_sec.finish()
+    sampling_sec = root.subsection("sampling", default={})
+    sampling = SamplingSpec(
+        num_samples=sampling_sec.integer("num_samples", default=SamplingSpec.num_samples, minimum=1),
+        seed=sampling_sec.integer("seed", default=SamplingSpec.seed),
+    )
+    sampling_sec.finish()
 
-    det_sec = root.subsection("detection", required=False)
-    if det_sec is None:
-        detection = DetectionSpec()
-    else:
-        det_fields = dict(
-            readout_fidelity=det_sec.number("readout_fidelity", required=False, default=0.99),
-            prep_error=det_sec.number("prep_error", required=False, default=0.01),
-            max_repetitions=det_sec.integer("max_repetitions", required=False, default=10, minimum=1),
-            seed=det_sec.integer("seed", required=False, default=0),
-        )
-        det_sec.finish()
-        try:
-            detection = DetectionSpec(**det_fields)
-        except ValueError as exc:
-            raise ConfigError(f"config.detection: {exc}") from exc
+    det_sec = root.subsection("detection", default={})
+    det_fields = dict(
+        readout_fidelity=det_sec.number("readout_fidelity", default=DetectionSpec.readout_fidelity),
+        prep_error=det_sec.number("prep_error", default=DetectionSpec.prep_error),
+        max_repetitions=det_sec.integer(
+            "max_repetitions", default=DetectionSpec.max_repetitions, minimum=1
+        ),
+        seed=det_sec.integer("seed", default=DetectionSpec.seed),
+    )
+    det_sec.finish()
+    try:
+        detection = DetectionSpec(**det_fields)
+    except ValueError as exc:
+        raise ConfigError(f"config.detection: {exc}") from exc
 
-    tol_sec = root.subsection("tolerances", required=False)
-    if tol_sec is None:
-        tolerances = Tolerances()
-    else:
-        tolerances = Tolerances(
-            solver=tol_sec.number("solver", required=False, default=1e-12, minimum=0.0),
-            unitarity=tol_sec.number("unitarity", required=False, default=1e-10, minimum=0.0),
-            normalization=tol_sec.number("normalization", required=False, default=1e-9, minimum=0.0),
-        )
-        tol_sec.finish()
+    tol_sec = root.subsection("tolerances", default={})
+    tolerances = Tolerances(
+        solver=tol_sec.number("solver", default=Tolerances.solver, minimum=0.0),
+        unitarity=tol_sec.number("unitarity", default=Tolerances.unitarity, minimum=0.0),
+        normalization=tol_sec.number("normalization", default=Tolerances.normalization, minimum=0.0),
+    )
+    tol_sec.finish()
 
     root.finish()
     return RunConfig(trap, tuple(occupations), TargetSpec(kind, seed, path), dd, sampling, detection, tolerances)

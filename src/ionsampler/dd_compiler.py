@@ -22,9 +22,10 @@ with weight s_i * s_k.  Two flip schemes are provided:
 
 Schedules subdivide the total time into ``n_sub`` repetitions whose slice
 order is palindromic, pushing the leading average-Hamiltonian error to
-second order; accuracy improves roughly as 1/n_sub^2 in amplitude.  Every
-pi event is paired with a compensating event, so each mode's accumulated
-bookkeeping phase is a multiple of 2 pi.
+second order; accuracy improves roughly as 1/n_sub^2 in amplitude.  A
+beam splitter compiles to one :class:`DecouplingBlock` whose first frame is
+all +1, so each mode's accumulated bookkeeping phase is a multiple of 2 pi;
+:meth:`PulseSchedule.expand` writes it out as segments and pi events.
 """
 
 from __future__ import annotations
@@ -37,16 +38,17 @@ from .ion_chain import CouplingMatrix
 from .linear_optics import (
     BSElement,
     ElementSequence,
-    PhaseElement,
     _check_pair,
     assert_hermitian,
     assert_unitary,
+    evolve_modes,
     reck_decompose,
 )
 
 __all__ = [
     "PhaseEvent",
     "EvolutionSegment",
+    "DecouplingBlock",
     "PulseSchedule",
     "SignPattern",
     "nn_isolation_pattern",
@@ -83,8 +85,29 @@ class PhaseEvent:
 
 
 @dataclass(frozen=True)
+class DecouplingBlock:
+    """``n_sub`` repetitions of ``frames + frames[::-1]``, each frame held for
+    ``tau`` seconds and entered by pi events; the first frame is all +1."""
+
+    tau: float
+    frames: tuple[SignPattern, ...]
+    n_sub: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
+        if self.tau < 0 or self.n_sub < 1:
+            raise ValueError("a block needs tau >= 0 and n_sub >= 1")
+        if not self.frames or set(self.frames[0].signs) != {1}:
+            raise ValueError("the first frame of a block must be all +1")
+
+    @property
+    def duration(self) -> float:
+        return self.n_sub * 2 * len(self.frames) * self.tau
+
+
+@dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered evolution segments and phase events over ``dim`` modes."""
+    """Ordered segments, decoupling blocks and phase events over ``dim`` modes."""
 
     dim: int
     steps: tuple = field(default_factory=tuple)
@@ -93,7 +116,9 @@ class PulseSchedule:
         object.__setattr__(self, "steps", tuple(self.steps))
         elapsed = 0.0
         for step in self.steps:
-            if isinstance(step, EvolutionSegment):
+            if isinstance(step, DecouplingBlock) and any(len(f.signs) != self.dim for f in step.frames):
+                raise ValueError(f"block frame length differs from dim {self.dim}")
+            if isinstance(step, (EvolutionSegment, DecouplingBlock)):
                 elapsed += step.duration
             elif isinstance(step, PhaseEvent):
                 if not 1 <= step.mode_index <= self.dim:
@@ -107,17 +132,50 @@ class PulseSchedule:
 
     @property
     def total_duration(self) -> float:
-        return sum(s.duration for s in self.steps if isinstance(s, EvolutionSegment))
+        return sum(s.duration for s in self.steps if not isinstance(s, PhaseEvent))
 
     @property
     def num_events(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, PhaseEvent))
+        """Phase events of the flat export."""
+        return sum(isinstance(s, PhaseEvent) for s in self.expand().steps)
+
+    def expand(self) -> "PulseSchedule":
+        """The flat export: each block written out as free-evolution segments
+        and the pi events entering its frames, back-to-back segments merged."""
+        steps: list = []
+        elapsed = 0.0
+
+        def evolve(duration: float) -> None:
+            nonlocal elapsed
+            if steps and isinstance(steps[-1], EvolutionSegment):
+                steps[-1] = EvolutionSegment(steps[-1].duration + duration)
+            else:
+                steps.append(EvolutionSegment(duration))
+            elapsed += duration
+
+        for step in self.steps:
+            if isinstance(step, DecouplingBlock):
+                current = step.frames[0].signs
+                for frame in (step.frames + step.frames[::-1]) * step.n_sub:
+                    flips = [m for m, (a, b) in enumerate(zip(current, frame.signs), 1) if a != b]
+                    steps.extend(PhaseEvent(elapsed, mode, np.pi) for mode in flips)
+                    current = frame.signs
+                    evolve(step.tau)
+            elif isinstance(step, EvolutionSegment):
+                evolve(step.duration)
+            else:
+                steps.append(step)
+        return PulseSchedule(self.dim, steps)
 
     def to_json(self) -> dict:
         steps = []
         for step in self.steps:
             if isinstance(step, EvolutionSegment):
                 steps.append({"segment_s": float(step.duration)})
+            elif isinstance(step, DecouplingBlock):
+                frames = [[int(x) for x in frame.signs] for frame in step.frames]
+                block = {"tau_s": float(step.tau), "frames": frames, "n_sub": int(step.n_sub)}
+                steps.append({"block": block})
             else:
                 steps.append(
                     {
@@ -136,6 +194,10 @@ class PulseSchedule:
         for entry in data["steps"]:
             if "segment_s" in entry:
                 steps.append(EvolutionSegment(float(entry["segment_s"])))
+            elif "block" in entry:
+                b = entry["block"]
+                frames = [SignPattern(tuple(f)) for f in b["frames"]]
+                steps.append(DecouplingBlock(float(b["tau_s"]), frames, int(b["n_sub"])))
             elif "phase" in entry:
                 ev = entry["phase"]
                 steps.append(PhaseEvent(float(ev["t_s"]), int(ev["mode"]), float(ev["phi"])))
@@ -144,7 +206,7 @@ class PulseSchedule:
         schedule = cls(int(data["dim"]), tuple(steps))
         declared = float(data["total_s"])
         if abs(schedule.total_duration - declared) > 1e-9 * max(1.0, declared):
-            raise ValueError("declared total_s does not match summed segments")
+            raise ValueError("declared total_s does not match summed segments and blocks")
         return schedule
 
 
@@ -203,37 +265,6 @@ def hadamard_slice_patterns(dim: int, pair_index: int) -> list[SignPattern]:
     return patterns
 
 
-class _ScheduleBuilder:
-    """Accumulates steps, merging back-to-back segments."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.steps: list = []
-        self.time = 0.0
-
-    def segment(self, duration: float) -> None:
-        if duration <= 0.0:
-            return
-        if self.steps and isinstance(self.steps[-1], EvolutionSegment):
-            self.steps[-1] = EvolutionSegment(self.steps[-1].duration + duration)
-        else:
-            self.steps.append(EvolutionSegment(duration))
-        self.time += duration
-
-    def event(self, mode_index: int, phi: float) -> None:
-        self.steps.append(PhaseEvent(self.time, mode_index, phi))
-
-    def splice(self, schedule: PulseSchedule) -> None:
-        for step in schedule.steps:
-            if isinstance(step, EvolutionSegment):
-                self.segment(step.duration)
-            else:
-                self.event(step.mode_index, step.phi)
-
-    def build(self) -> PulseSchedule:
-        return PulseSchedule(self.dim, tuple(self.steps))
-
-
 def _slice_frames(scheme: str, dim: int, pair_index: int) -> list[SignPattern]:
     if scheme == "nn":
         return [SignPattern((1,) * dim), nn_isolation_pattern(dim, pair_index)]
@@ -250,7 +281,7 @@ def compile_beam_splitter(
     scheme: str = "hadamard",
     max_duration: float | None = None,
 ) -> PulseSchedule:
-    """Schedule realizing a beam splitter of angle ``theta`` on (j, j+1).
+    """One decoupling block realizing a beam splitter of angle ``theta`` on (j, j+1).
 
     Total evolution time is theta / K_{j,j+1}, cut into ``n_sub``
     repetitions of the scheme's slice sequence followed by its mirror
@@ -267,12 +298,8 @@ def compile_beam_splitter(
     _check_pair(pair_index, dim)
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise ValueError(f"theta {theta} outside [0, pi/2]")
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
-
-    builder = _ScheduleBuilder(dim)
     if theta == 0.0:
-        return builder.build()
+        return PulseSchedule(dim)
 
     rate = rates[pair_index - 1, pair_index]
     total = theta / rate
@@ -286,20 +313,8 @@ def compile_beam_splitter(
         )
 
     frames = _slice_frames(scheme, dim, pair_index)
-    palindrome = frames + frames[::-1]
-    tau = total / (n_sub * len(palindrome))
-    current = (1,) * dim
-    for _ in range(n_sub):
-        for frame in palindrome:
-            for mode in range(1, dim + 1):
-                if frame.signs[mode - 1] != current[mode - 1]:
-                    builder.event(mode, np.pi)
-            current = frame.signs
-            builder.segment(tau)
-    for mode in range(1, dim + 1):  # restore the nominal frame
-        if current[mode - 1] != 1:
-            builder.event(mode, np.pi)
-    return builder.build()
+    tau = total / (n_sub * 2 * len(frames))
+    return PulseSchedule(dim, (DecouplingBlock(tau, frames, n_sub),))
 
 
 def compile_elements(
@@ -311,17 +326,16 @@ def compile_elements(
     """Concatenate compiled beam splitters and instantaneous phase events."""
     if sequence.dim != coupling.rates.shape[0]:
         raise ValueError("element sequence dimension does not match coupling matrix")
-    builder = _ScheduleBuilder(sequence.dim)
+    steps: list = []
+    elapsed = 0.0
     for el in sequence.elements:
         if isinstance(el, BSElement):
-            builder.splice(
-                compile_beam_splitter(coupling, el.pair_index, el.theta, n_sub, scheme)
-            )
-        elif isinstance(el, PhaseElement):
-            builder.event(el.mode_index, el.phi)
-        else:  # pragma: no cover - ElementSequence already validates
-            raise TypeError(f"unsupported element {el!r}")
-    return builder.build()
+            bs = compile_beam_splitter(coupling, el.pair_index, el.theta, n_sub, scheme)
+            steps.extend(bs.steps)
+            elapsed += bs.total_duration
+        else:
+            steps.append(PhaseEvent(elapsed, el.mode_index, el.phi))
+    return PulseSchedule(sequence.dim, steps)
 
 
 def compile_unitary(
@@ -339,21 +353,25 @@ def compile_unitary(
 def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     """Exact unitary produced by a schedule under the full coupling matrix.
 
-    Segments evolve under exp(-i K tau) (one eigendecomposition of K,
-    reused for all segments); phase events multiply in as diagonal
-    matrices.  Steps compose in list order.
+    A slice in the diagonal sign frame S evolves as S exp(-i K tau) S, a block
+    as the product over one repetition to the power ``n_sub``, and a phase
+    event as a diagonal matrix.  Steps compose in list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
         raise ValueError(
             f"coupling dim {k.shape[0]} does not match schedule dim {schedule.dim}"
         )
-    w, v = np.linalg.eigh(k)
     total = np.eye(schedule.dim, dtype=complex)
     for step in schedule.steps:
-        if isinstance(step, EvolutionSegment):
-            seg = (v * np.exp(-1j * w * step.duration)) @ v.conj().T
-            total = seg @ total
+        if isinstance(step, DecouplingBlock):
+            free = evolve_modes(k, step.tau)
+            period = np.eye(schedule.dim, dtype=complex)
+            for frame in step.frames + step.frames[::-1]:
+                period = (free * np.outer(frame.signs, frame.signs)) @ period
+            total = np.linalg.matrix_power(period, step.n_sub) @ total
+        elif isinstance(step, EvolutionSegment):
+            total = evolve_modes(k, step.duration) @ total
         else:
             total[step.mode_index - 1, :] *= np.exp(1j * step.phi)
     return total

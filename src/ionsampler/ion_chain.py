@@ -88,10 +88,6 @@ class CouplingMatrix:
     rates: np.ndarray
     validity_ratio: float
 
-    @property
-    def dim(self) -> int:
-        return self.rates.shape[0]
-
 
 def force_residual(positions) -> np.ndarray:
     """Net dimensionless force on each ion (restoring minus Coulomb).

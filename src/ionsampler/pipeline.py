@@ -13,7 +13,7 @@ positions.json            solved equilibrium positions
 couplings.json            positions + hopping-rate matrix (rad/s)
 target_unitary.json       target mode unitary, {"dim", "re", "im"}
 elements.json             triangular-mesh element list for the target
-schedule.json             compiled pulse schedule
+schedule.json             compiled pulse schedule, one block per beam splitter
 simulated_unitary.json    unitary realized by the schedule under the full
                           long-range coupling
 distribution.json         exact outcome distribution (compiled unitary when
@@ -192,10 +192,7 @@ def run_compile(cfg: RunConfig, outdir: Path) -> None:
     el_data = _read_json(outdir, "elements.json", "decompose")
     seq = ElementSequence.from_json(int(el_data["dim"]), el_data["elements"])
     schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
-    payload = schedule.to_json()
-    payload["n_sub"] = cfg.dd.n_sub
-    payload["scheme"] = cfg.dd.scheme
-    _write_json(outdir / "schedule.json", payload)
+    _write_json(outdir / "schedule.json", schedule.to_json())
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> None:

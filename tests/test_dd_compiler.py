@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionsampler.dd_compiler import (
+    DecouplingBlock,
     EvolutionSegment,
     PhaseEvent,
     PulseSchedule,
@@ -23,6 +24,7 @@ from ionsampler.linear_optics import (
     PhaseElement,
     beam_splitter_unitary,
     fourier_unitary,
+    haar_unitary,
     unitary_distance,
 )
 
@@ -114,7 +116,7 @@ class TestCompileBeamSplitter:
         k = chain_coupling(2)
         schedule = compile_beam_splitter(k, 1, np.pi / 4)
         assert schedule.num_events == 0
-        segments = [s for s in schedule.steps if isinstance(s, EvolutionSegment)]
+        segments = [s for s in schedule.expand().steps if isinstance(s, EvolutionSegment)]
         assert len(segments) == 1
         assert schedule.total_duration == pytest.approx(
             (np.pi / 4) / k.rates[0, 1], rel=1e-12
@@ -131,7 +133,7 @@ class TestCompileBeamSplitter:
     def test_pi_events_pair_up_per_mode(self):
         schedule = compile_beam_splitter(chain_coupling(5), 2, 0.9, n_sub=4)
         counts = {}
-        for step in schedule.steps:
+        for step in schedule.expand().steps:
             if isinstance(step, PhaseEvent):
                 assert step.phi == pytest.approx(np.pi)
                 counts[step.mode_index] = counts.get(step.mode_index, 0) + 1
@@ -229,12 +231,54 @@ class TestSimulateSchedule:
         with pytest.raises(ValueError):
             simulate_schedule(np.zeros((2, 2)), PulseSchedule(3))
 
+    @pytest.mark.parametrize("n_sub", [1, 4, 16])
+    @pytest.mark.parametrize("scheme", ["hadamard", "nn"])
+    @pytest.mark.parametrize("num_ions", [2, 3, 4, 5])
+    def test_blocks_match_their_expansion(self, num_ions, scheme, n_sub):
+        # the block route (powers of one repetition) against the flat
+        # segment-by-segment product of the exported pulse list
+        k = chain_coupling(num_ions)
+        target = haar_unitary(num_ions, seed=num_ions)
+        schedule = compile_unitary(k, target, n_sub=n_sub, scheme=scheme)
+        flat = schedule.expand()
+        assert not any(isinstance(s, DecouplingBlock) for s in flat.steps)
+        assert flat.total_duration == pytest.approx(schedule.total_duration, rel=1e-12)
+        diff = simulate_schedule(k, schedule) - simulate_schedule(k, flat)
+        assert np.max(np.abs(diff)) < 1e-12
+
 
 class TestScheduleSerialization:
     def test_round_trip(self):
-        schedule = compile_beam_splitter(chain_coupling(4), 2, 1.0, n_sub=2)
-        back = PulseSchedule.from_json(json.loads(json.dumps(schedule.to_json())))
-        assert back == schedule
+        k = chain_coupling(4)
+        for schedule in (
+            compile_beam_splitter(k, 2, 1.0, n_sub=2),
+            compile_unitary(k, fourier_unitary(4), n_sub=2),
+        ):
+            back = PulseSchedule.from_json(json.loads(json.dumps(schedule.to_json())))
+            assert back == schedule
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("sign", "signs must be"),
+            ("frame_length", "frame length"),
+            ("n_sub", "n_sub >= 1"),
+            ("first_frame", "first frame"),
+        ],
+    )
+    def test_malformed_block_rejected(self, defect, match):
+        data = compile_beam_splitter(chain_coupling(4), 2, 1.0, n_sub=2).to_json()
+        block = data["steps"][0]["block"]
+        if defect == "sign":
+            block["frames"][1][0] = 0
+        elif defect == "frame_length":
+            block["frames"][1].append(1)
+        elif defect == "n_sub":
+            block["n_sub"] = 0
+        else:
+            block["frames"][0][3] = -1
+        with pytest.raises(ValueError, match=match):
+            PulseSchedule.from_json(data)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +289,11 @@ class TestScheduleSerialization:
             PulseSchedule(2, (EvolutionSegment(1.0), PhaseEvent(5.0, 1, 0.1)))
 
     def test_inconsistent_declared_total_rejected(self):
-        data = PulseSchedule(2, (EvolutionSegment(1.0),)).to_json()
-        data["total_s"] = 2.0
-        with pytest.raises(ValueError):
-            PulseSchedule.from_json(data)
+        for schedule in (
+            PulseSchedule(2, (EvolutionSegment(1.0),)),
+            compile_beam_splitter(chain_coupling(4), 2, 1.0, n_sub=2),
+        ):
+            data = schedule.to_json()
+            data["total_s"] = 2.0 * data["total_s"]
+            with pytest.raises(ValueError):
+                PulseSchedule.from_json(data)
