@@ -14,7 +14,6 @@ from .boson_stats import (
     exact_distribution,
     fock_oracle_distribution,
     outcome_probability,
-    permanent_naive,
     permanent_ryser,
     sample_outcomes,
     total_variation_distance,

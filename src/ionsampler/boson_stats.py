@@ -7,29 +7,26 @@ and columns follow inputs, so for a single boson the formula reduces to
 |U_ji|^2 = |(U e_i)_j|^2, the evolve-and-measure amplitude.
 
 Two independent routes compute each distribution: the permanent route
-(Ryser's inclusion-exclusion over column subsets) and a brute-force
-many-body route (`fock_oracle_distribution`) that lifts the one-particle
-unitary to the full bosonic Fock space and evolves the input state.  They
-share nothing but the outcome enumeration, which makes their agreement a
-meaningful cross-check.
+(Ryser's inclusion-exclusion over column subsets, in one batched pass
+over all outcomes, since every A of one input has the same columns) and
+a brute-force many-body route (`fock_oracle_distribution`) that lifts
+the one-particle unitary to the full bosonic Fock space and evolves the
+input state.  They share nothing but the outcome enumeration, which
+makes their agreement a meaningful cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
-import scipy.linalg
 
 from .linear_optics import assert_hermitian, assert_unitary
 
 __all__ = [
     "permanent_ryser",
-    "permanent_naive",
-    "build_submatrix",
     "outcome_probability",
     "enumerate_outcomes",
     "OutcomeDistribution",
@@ -45,14 +42,18 @@ __all__ = [
 ]
 
 RYSER_MAX_DIM = 30
-NAIVE_MAX_DIM = 9
 # The sparse lifted generator holds about dim * min(N, M) * M nonzeros and the
 # oracle peaks near five copies of it: 180 MB at M = 8, N = 12 (50 388 states)
 # and 290 MB at M = 20, N = 5 (42 504 states), so the guard keeps chains of up
 # to 20 ions under about 350 MB.  Longer chains cost more per state.
 FOCK_MAX_DIM = 50_000
-# Complex entries per array in the chunked Ryser product (256 kB, cache-sized).
-# The only larger arrays, the half row-sum tables, stay under 16 MB at n = 30.
+# Outcome tuples and their JSON rows cost about 0.65 kB each: the distribution
+# stage peaked at 320 MB RSS at M = 16, N = 8 (490 314 outcomes, 21 s), and the
+# verify stage, which parses that distribution.json, at 470 MB.
+OUTCOME_MAX_COUNT = 500_000
+# Complex entries per array in the chunked Ryser product (256 kB, cache-sized),
+# and outcomes per chunk of row indices.  The only larger arrays, the subset
+# row-sum tables, stay under 16 MB for a single permanent at n = 30.
 RYSER_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -66,40 +67,40 @@ def _column_subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return member, signs
 
 
-def _ryser_sum(a: np.ndarray) -> complex:
-    """Ryser's formula, meet-in-the-middle over two halves of the columns.
+def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Permanents of the n x n matrices cols[rows[b]], by Ryser's formula.
 
-    Per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij.  Each subset S is
-    a low-half subset joined with a high-half one, so its row sums are the
-    sum of the two halves' row sums, each got by one 0/1 matrix product.
-    High-half subsets are taken in chunks of RYSER_CHUNK_ELEMENTS / 2^low.
+    Per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij, meet-in-the-middle:
+    each column subset S is a low-half subset joined with a high-half one, so
+    its row sums add the two halves' row sums.  Those are taken once for every
+    row of ``cols`` by one 0/1 matrix product per half, and each permanent
+    gathers its n rows from them (a repeated row index is a repeated row).
+    The products are chunked over permanents and high-half subsets, at most
+    RYSER_CHUNK_ELEMENTS complex entries per array.
     """
-    n = a.shape[0]
+    n = cols.shape[1]
+    if n > RYSER_MAX_DIM:
+        raise ValueError(f"permanent guard: n={n} exceeds limit {RYSER_MAX_DIM}")
     low = (n + 1) // 2
     member_lo, sign_lo = _column_subsets(low)
     member_hi, sign_hi = _column_subsets(n - low)
-    rows_lo = a[:, :low] @ member_lo
-    rows_hi = a[:, low:] @ member_hi
-    step = max(1, RYSER_CHUNK_ELEMENTS >> low)
-    total = 0j
-    for start in range(0, rows_hi.shape[1], step):
-        hi = rows_hi[:, start:start + step, None]
-        terms = hi[0] + rows_lo[0]
-        row_sums = np.empty_like(terms)
-        for i in range(1, n):
-            np.add(hi[i], rows_lo[i], out=row_sums)
-            terms *= row_sums
-        total += sign_hi[start:start + step] @ (terms @ sign_lo)
+    sums_lo = cols[:, :low] @ member_lo
+    sums_hi = cols[:, low:] @ member_hi
+    step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS >> low))
+    step = max(1, RYSER_CHUNK_ELEMENTS // (step_hi << low))
+    total = np.zeros(len(rows), dtype=np.complex128)
+    for first in range(0, len(rows), step):
+        chunk = rows[first:first + step]
+        lo = sums_lo[chunk][:, :, None, :]
+        for start in range(0, sums_hi.shape[1], step_hi):
+            hi = sums_hi[chunk, start:start + step_hi, None]
+            terms = np.ones((len(chunk), hi.shape[2], lo.shape[3]), dtype=np.complex128)
+            row_sums = np.empty_like(terms)
+            for i in range(n):
+                np.add(hi[:, i], lo[:, i], out=row_sums)
+                terms *= row_sums
+            total[first:first + step] += (terms @ sign_lo) @ sign_hi[start:start + step_hi]
     return -total if n & 1 else total
-
-
-def _check_square(a: np.ndarray, guard: int, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
-    if a.shape[0] > guard:
-        raise ValueError(f"{name} guard: n={a.shape[0]} exceeds limit {guard}")
-    return a
 
 
 def permanent_ryser(matrix) -> complex:
@@ -107,21 +108,10 @@ def permanent_ryser(matrix) -> complex:
 
     O(2^n * n) time; guarded at n <= 30 to keep runtimes bounded.
     """
-    a = _check_square(matrix, RYSER_MAX_DIM, "permanent_ryser")
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(_ryser_sum(a))
-
-
-def permanent_naive(matrix) -> complex:
-    """Permanent as the literal sum over all n! permutations (n <= 9)."""
-    a = _check_square(matrix, NAIVE_MAX_DIM, "permanent_naive")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    return complex(
-        sum(prod(a[i, p[i]] for i in range(n)) for p in permutations(range(n)))
-    )
+    a = np.asarray(matrix, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"permanent_ryser needs a square matrix, got shape {a.shape}")
+    return complex(_ryser_sums(a, np.arange(a.shape[0])[None])[0])
 
 
 def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
@@ -133,23 +123,24 @@ def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
     return occ
 
 
-def _replicate(occ: tuple[int, ...]) -> list[int]:
-    return [i for i, count in enumerate(occ) for _ in range(count)]
+def _probabilities(u: np.ndarray, outcomes, t: tuple[int, ...]) -> np.ndarray:
+    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, by batched Ryser.
 
-
-def build_submatrix(matrix, s, t) -> np.ndarray:
-    """Replicated submatrix: column j taken s[j] times, row i taken t[i] times.
-
-    Replication is in ascending index order with repeats adjacent, so the
-    output is deterministic; any other order permutes rows/columns and
-    leaves the permanent unchanged.
+    Rows of A_S follow the outcome and columns follow the inputs (see the
+    module docstring), so every A_S takes its columns from the same
+    U[:, inputs] and only its row indices differ.  Those are built for one
+    chunk of outcomes per kernel call, so memory is set by the outcome list.
     """
-    a = np.asarray(matrix, dtype=complex)
-    s = _occupation(s, a.shape[1])
-    t = _occupation(t, a.shape[0])
-    if sum(s) != sum(t):
-        raise ValueError(f"replication totals differ: sum(s)={sum(s)}, sum(t)={sum(t)}")
-    return a[np.ix_(_replicate(t), _replicate(s))]
+    cols = np.repeat(u, t, axis=1)
+    m, n = u.shape[0], cols.shape[1]
+    factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
+    probs = np.empty(len(outcomes))
+    for first in range(0, len(outcomes), RYSER_CHUNK_ELEMENTS):
+        occ = np.array(outcomes[first:first + RYSER_CHUNK_ELEMENTS], dtype=np.intp)
+        rows = np.repeat(np.tile(np.arange(m), len(occ)), occ.ravel()).reshape(len(occ), n)
+        norms = factorials[occ].prod(axis=1) * factorials[list(t)].prod()
+        probs[first:first + len(occ)] = np.abs(_ryser_sums(cols, rows)) ** 2 / norms
+    return probs
 
 
 def outcome_probability(matrix, outcome, inputs) -> float:
@@ -159,30 +150,38 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     inputs (see the module docstring for why this orientation is forced by
     the single-boson limit).
     """
-    s = _occupation(outcome)
-    t = _occupation(inputs)
-    sub = build_submatrix(matrix, s=t, t=s)  # columns <- inputs, rows <- outcome
-    norm = prod(factorial(x) for x in s) * prod(factorial(x) for x in t)
-    return abs(permanent_ryser(sub)) ** 2 / norm
+    u = np.asarray(matrix, dtype=np.complex128)
+    s = _occupation(outcome, u.shape[0])
+    t = _occupation(inputs, u.shape[1])
+    if sum(s) != sum(t):
+        raise ValueError(f"boson totals differ: outcome {sum(s)}, inputs {sum(t)}")
+    return float(_probabilities(u, [s], t)[0])
 
 
 def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
     """All compositions of N into M parts, first index descending.
 
     The order is part of the serialization contract: (2,0) before (1,1)
-    before (0,2), and recursively so in the remaining modes.
+    before (0,2), and recursively so in the remaining modes.  Refuses more
+    than OUTCOME_MAX_COUNT outcomes before building any of them.
     """
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     if num_bosons < 0:
         raise ValueError("num_bosons must be >= 0")
-    if num_modes == 1:
-        return [(num_bosons,)]
-    out: list[tuple[int, ...]] = []
-    for first in range(num_bosons, -1, -1):
-        for rest in enumerate_outcomes(num_modes - 1, num_bosons - first):
-            out.append((first,) + rest)
-    return out
+    count = comb(num_bosons + num_modes - 1, num_bosons)
+    if count > OUTCOME_MAX_COUNT:
+        raise ValueError(
+            f"{count} outcomes of {num_bosons} bosons in {num_modes} modes "
+            f"exceed the outcome guard {OUTCOME_MAX_COUNT}"
+        )
+    # tails[k]: the compositions of k into the last modes, extended by one
+    # mode per pass; the last pass needs only the full total
+    tails = [[(k,)] for k in range(num_bosons + 1)]
+    for left in range(num_modes - 1, 0, -1):
+        totals = range(num_bosons + 1) if left > 1 else [num_bosons]
+        tails = [[(f,) + rest for f in range(k, -1, -1) for rest in tails[k - f]] for k in totals]
+    return tails[-1]
 
 
 @dataclass(frozen=True)
@@ -213,17 +212,14 @@ class OutcomeDistribution:
         return float(self.probabilities.sum())
 
 
-def _distribution_from_probs(inputs, provenance, probs, norm_tol):
-    t = _occupation(inputs)
-    m, n = len(t), sum(t)
-    outcomes = enumerate_outcomes(m, n)
-    probs = np.asarray(probs, dtype=float)
+def _distribution_from_probs(outcomes, provenance, probs, norm_tol):
     residual = abs(probs.sum() - 1.0)
     if residual > norm_tol:
         raise RuntimeError(
             f"{provenance} distribution sums to 1{residual:+.3e}; "
             "numerical failure beyond tolerance"
         )
+    m, n = len(outcomes[0]), sum(outcomes[0])
     return OutcomeDistribution(m, n, provenance, tuple(outcomes), probs)
 
 
@@ -231,8 +227,8 @@ def exact_distribution(matrix, inputs, norm_tol: float = 1e-9) -> OutcomeDistrib
     """Permanent-route distribution over every outcome with the input's boson total."""
     u = assert_unitary(matrix)
     t = _occupation(inputs, u.shape[0])
-    probs = [outcome_probability(u, s, t) for s in enumerate_outcomes(len(t), sum(t))]
-    return _distribution_from_probs(t, "exact", probs, norm_tol)
+    outcomes = enumerate_outcomes(len(t), sum(t))
+    return _distribution_from_probs(outcomes, "exact", _probabilities(u, outcomes, t), norm_tol)
 
 
 def _lift_generator(h: np.ndarray, basis: list[tuple[int, ...]]):
@@ -280,26 +276,27 @@ def fock_oracle_distribution(
         raise ValueError(
             f"Fock basis dimension {basis_dim} exceeds guard {max_dim}"
         )
+    # scipy is imported only here, past the guard: at module level it would
+    # double the time `import ionsampler` takes
+    from scipy.linalg import logm
+    from scipy.sparse.linalg import expm_multiply
+
     if duration is None:
         u = assert_unitary(operator)
         if u.shape[0] != m:
             raise ValueError("operator dimension does not match occupations")
-        h = 1j * scipy.linalg.logm(u)
+        h = 1j * logm(u)
         h = (h + h.conj().T) / 2.0
         time = 1.0
     else:
         h = np.asarray(assert_hermitian(operator), dtype=complex)
         time = float(duration)
 
-    # scipy.sparse is imported only here, past the guard, so that importing
-    # the package stays as fast as before
-    from scipy.sparse.linalg import expm_multiply
-
     basis = enumerate_outcomes(m, n)
     start = np.zeros(len(basis), dtype=complex)
     start[basis.index(t)] = 1.0
     amps = expm_multiply(-1j * time * _lift_generator(h, basis), start)
-    return _distribution_from_probs(t, "fock_oracle", np.abs(amps) ** 2, norm_tol)
+    return _distribution_from_probs(basis, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:

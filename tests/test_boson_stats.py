@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from ionsampler.boson_stats import (
+    OUTCOME_MAX_COUNT,
     RYSER_CHUNK_ELEMENTS,
-    build_submatrix,
     empirical_distribution,
     enumerate_outcomes,
     exact_distribution,
     fock_oracle_distribution,
     outcome_probability,
-    permanent_naive,
     permanent_ryser,
     sample_outcomes,
     samples_from_csv,
@@ -32,10 +31,9 @@ BALANCED = beam_splitter_unitary(1, np.pi / 4, 2)
 class TestPermanents:
     def test_two_by_two(self):
         assert permanent_ryser([[1, 2], [3, 4]]) == pytest.approx(10)
-        assert permanent_naive([[1, 1], [1, 1]]) == pytest.approx(2)
 
     def test_one_by_one(self):
-        assert permanent_naive([[3.5 + 1j]]) == pytest.approx(3.5 + 1j)
+        assert permanent_ryser([[3.5 + 1j]]) == pytest.approx(3.5 + 1j)
 
     def test_identity_has_unit_permanent(self):
         for n in range(1, 7):
@@ -43,7 +41,6 @@ class TestPermanents:
 
     def test_all_ones_gives_factorial(self):
         assert permanent_ryser(np.ones((3, 3))) == pytest.approx(6)
-        assert permanent_naive(np.ones((4, 4))) == pytest.approx(24)
 
     def test_empty_matrix_permanent_is_one(self):
         assert permanent_ryser(np.zeros((0, 0))) == pytest.approx(1.0)
@@ -54,7 +51,6 @@ class TestPermanents:
             a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             expected = oracles.permanent_reference(a)
             assert permanent_ryser(a) == pytest.approx(expected, rel=1e-10)
-            assert permanent_naive(a) == pytest.approx(expected, rel=1e-10)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 5))
     @settings(max_examples=50)
@@ -101,31 +97,9 @@ class TestPermanents:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            permanent_naive(np.ones((10, 10)))
-        with pytest.raises(ValueError):
             permanent_ryser(np.ones((31, 31)))
         with pytest.raises(ValueError):
             permanent_ryser(np.ones((2, 3)))
-
-
-class TestSubmatrix:
-    def test_unit_occupations_return_matrix(self):
-        a = haar_unitary(3, seed=0)
-        np.testing.assert_array_equal(build_submatrix(a, (1, 1, 1), (1, 1, 1)), a)
-
-    def test_column_doubling(self):
-        a = np.arange(4).reshape(2, 2) + 0j
-        sub = build_submatrix(a, s=(2, 0), t=(1, 1))
-        np.testing.assert_array_equal(sub, [[a[0, 0], a[0, 0]], [a[1, 0], a[1, 0]]])
-
-    def test_single_column_replication(self):
-        a = haar_unitary(3, seed=1)
-        sub = build_submatrix(a, s=(0, 0, 3), t=(1, 1, 1))
-        np.testing.assert_array_equal(sub, np.repeat(a[:, 2:3], 3, axis=1))
-
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_submatrix(np.eye(2), (2, 0), (1, 0))
 
 
 class TestOutcomeProbability:
@@ -147,6 +121,31 @@ class TestOutcomeProbability:
     def test_identity_is_point_mass(self):
         assert outcome_probability(np.eye(3), (0, 2, 1), (0, 2, 1)) == pytest.approx(1.0)
         assert outcome_probability(np.eye(3), (1, 1, 1), (0, 2, 1)) == pytest.approx(0.0)
+
+    def test_matches_reference_on_replicated_submatrix(self):
+        # rows follow the outcome and columns the inputs, each index repeated
+        # by its occupation; bunched and unbunched outcomes at M = 5 and 8
+        cases = [
+            (5, (1, 1, 1, 0, 0), [(1, 1, 1, 0, 0), (0, 2, 0, 1, 0), (3, 0, 0, 0, 0)]),
+            (5, (2, 1, 0, 0, 0), [(0, 1, 1, 0, 1), (1, 0, 0, 0, 2), (0, 0, 3, 0, 0)]),
+            (8, (1, 1, 1, 1, 0, 0, 0, 1), [(0, 1, 0, 1, 1, 0, 1, 1), (2, 0, 0, 2, 0, 0, 0, 1)]),
+            (8, (0, 3, 0, 0, 2, 0, 0, 0), [(1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 5, 0, 0, 0, 0)]),
+        ]
+        for m, t, outcomes in cases:
+            a = haar_unitary(m, seed=m)
+            for s in outcomes:
+                sub = np.repeat(np.repeat(a, s, axis=0), t, axis=1)
+                norm = np.prod([factorial(x) for x in s + t])
+                expected = abs(oracles.permanent_reference(sub)) ** 2 / norm
+                assert outcome_probability(a, s, t) == pytest.approx(expected, rel=1e-10)
+
+    def test_bad_occupations_rejected(self):
+        with pytest.raises(ValueError, match="totals differ"):
+            outcome_probability(np.eye(2), (2, 0), (1, 0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            outcome_probability(np.eye(2), (2, -1), (1, 0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            outcome_probability(np.eye(2), (1, 0), (2, -1))
 
     def test_relabeling_covariance(self):
         a = haar_unitary(4, seed=13)
@@ -194,10 +193,12 @@ class TestDistributions:
             assert p == pytest.approx(expected[s], abs=1e-12)
 
     def test_haar_matches_fock_oracle(self):
-        u = haar_unitary(4, seed=21)
-        exact = exact_distribution(u, (1, 1, 1, 0))
-        oracle = fock_oracle_distribution(u, (1, 1, 1, 0))
-        assert total_variation_distance(exact, oracle) < 1e-8
+        # unbunched, then bunched inputs (repeated columns of the permanent)
+        for inputs in [(1, 1, 1, 0), (2, 1, 0, 0, 0), (0, 3, 0, 1)]:
+            u = haar_unitary(len(inputs), seed=21)
+            exact = exact_distribution(u, inputs)
+            oracle = fock_oracle_distribution(u, inputs)
+            assert total_variation_distance(exact, oracle) < 1e-8
 
     def test_generator_route_matches_evolved_unitary(self):
         rng = np.random.default_rng(4)
@@ -222,6 +223,49 @@ class TestDistributions:
         oracle = fock_oracle_distribution(u, inputs)
         assert len(oracle.outcomes) == 1716
         assert total_variation_distance(exact, oracle) < 1e-8
+
+    def test_outcomes_past_one_chunk_match_reference(self):
+        # 18 564 outcomes take two chunks of row indices: check both sides of
+        # the seam and the last outcome against the O(n!) permanent
+        u = haar_unitary(13, seed=5)
+        t = (1,) * 6 + (0,) * 7
+        dist = exact_distribution(u, t)
+        for k in (RYSER_CHUNK_ELEMENTS - 1, RYSER_CHUNK_ELEMENTS, len(dist.outcomes) - 1):
+            s = dist.outcomes[k]
+            sub = np.repeat(np.repeat(u, s, axis=0), t, axis=1)
+            norm = np.prod([factorial(x) for x in s])
+            expected = abs(oracles.permanent_reference(sub)) ** 2 / norm
+            assert dist.probabilities[k] == pytest.approx(expected, rel=1e-10)
+
+    def test_zero_bosons_point_mass(self):
+        dist = exact_distribution(np.eye(3), (0, 0, 0))
+        assert dist.outcomes == ((0, 0, 0),)
+        assert dist.probabilities == pytest.approx([1.0])
+
+    def test_permanent_guard_before_subset_tables(self):
+        # 31 bosons make 31 x 31 permanents, over the Ryser guard; the subset
+        # tables at n = 31 would take tens of MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds limit 30"):
+                exact_distribution(np.eye(2), (31, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_outcome_guard_refuses_before_enumerating(self):
+        # M = 20, N = 10 has C(29, 10) ~ 2.0e7 outcomes
+        assert comb(29, 10) > OUTCOME_MAX_COUNT
+        u = haar_unitary(20, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the outcome guard"):
+                exact_distribution(u, (1,) * 10 + (0,) * 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_fock_dimension_guard(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ionsampler.boson_stats import OUTCOME_MAX_COUNT
 from ionsampler.cli import main
 from ionsampler.linear_optics import haar_unitary
 from ionsampler.pipeline import matrix_to_json
@@ -124,6 +125,24 @@ class TestFailureModes:
         assert run("positions", config, tmp_path / "out") == 1
         assert "config.input.occupations" in capsys.readouterr().err
 
+    def test_outcome_guard_is_exit_1(self, tmp_path, capsys):
+        # 10 bosons in 20 modes have C(29, 10) = 20 030 010 outcomes
+        matrix_path = tmp_path / "target.json"
+        matrix_path.write_text(json.dumps(matrix_to_json(haar_unitary(20, seed=8))))
+        config = write_config(
+            tmp_path,
+            chain={"num_ions": 20},
+            input={"occupations": [1] * 10 + [0] * 10},
+            target={"kind": "file", "path": str(matrix_path)},
+        )
+        out = tmp_path / "out"
+        assert run("decompose", config, out, "--quiet") == 0
+        assert run("distribution", config, out, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "20030010 outcomes" in err
+        assert f"guard {OUTCOME_MAX_COUNT}" in err
+        assert not (out / "distribution.json").exists()
+
     def test_validity_rejection(self, tmp_path, capsys):
         config = write_config(tmp_path, trap={"omega_x_hz": 1e6, "omega_z_hz": 0.9e6})
         out = tmp_path / "out"
@@ -161,6 +180,16 @@ class TestFailureModes:
         config = write_config(tmp_path)
         assert run("positions", config, tmp_path / "out", "--quiet") == 0
         assert capsys.readouterr().out == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the Fock-space oracle uses scipy, and importing it at start-up
+    # would double the time every CLI call spends on imports
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ionsampler; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.stdout.strip() == "False", result.stderr
 
 
 def test_module_entry_point(tmp_path):
