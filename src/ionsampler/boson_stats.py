@@ -17,6 +17,8 @@ makes their agreement a meaningful cross-check.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -31,6 +33,8 @@ __all__ = [
     "enumerate_outcomes",
     "OutcomeDistribution",
     "exact_distribution",
+    "fock_generator_entries",
+    "fock_oracle_refusal",
     "fock_oracle_distribution",
     "empirical_distribution",
     "sample_outcomes",
@@ -42,15 +46,20 @@ __all__ = [
 ]
 
 RYSER_MAX_DIM = 30
-# The sparse lifted generator holds about dim * min(N, M) * M nonzeros and the
-# oracle peaks near five copies of it: 180 MB at M = 8, N = 12 (50 388 states)
-# and 290 MB at M = 20, N = 5 (42 504 states), so the guard keeps chains of up
-# to 20 ions under about 350 MB.  Longer chains cost more per state.
-FOCK_MAX_DIM = 50_000
+# The oracle's memory follows the stored entries of its lifted generator
+# (fock_generator_entries), at about 85-105 B each: one call peaked at 360 MB
+# RSS at M = 20, N = 5 (3.4e6 entries) and at 253 MB at M = 8, N = 12 (1.8e6).
+# The guard keeps a call near 350 MB however the states split into modes and
+# bosons; it admits every basis of up to 5e4 states on up to 20 modes.
+FOCK_MAX_ENTRIES = 3_500_000
 # Outcome tuples and their JSON rows cost about 0.65 kB each: the distribution
 # stage peaked at 320 MB RSS at M = 16, N = 8 (490 314 outcomes, 21 s), and the
 # verify stage, which parses that distribution.json, at 470 MB.
 OUTCOME_MAX_COUNT = 500_000
+# Lines per block when a CSV artifact is written: the text of one block is
+# joined and written at once, so memory does not grow with the sample count.
+CSV_BLOCK_LINES = 1 << 16
+_BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # Complex entries per array in the chunked Ryser product (256 kB, cache-sized),
 # and outcomes per chunk of row indices.  The only larger arrays, the subset
 # row-sum tables, stay under 16 MB for a single permanent at n = 30.
@@ -252,12 +261,38 @@ def _lift_generator(h: np.ndarray, basis: list[tuple[int, ...]]):
     return a.T @ scipy.sparse.kron(h, scipy.sparse.identity(len(fewer))) @ a
 
 
+def fock_generator_entries(num_modes: int, num_bosons: int) -> int:
+    """Stored entries of the lifted generator on N bosons in M modes.
+
+    The diagonal holds one entry per basis state, and every state with a
+    boson in mode j has one off-diagonal entry per hop j -> i != j.
+    """
+    states = comb(num_bosons + num_modes - 1, num_bosons)
+    occupied = comb(num_bosons + num_modes - 2, num_bosons - 1) if num_bosons else 0
+    return num_modes * (num_modes - 1) * occupied + states
+
+
+def fock_oracle_refusal(num_modes: int, num_bosons: int) -> str | None:
+    """Why the Fock oracle refuses N bosons in M modes, or None if it runs them.
+
+    The guard, FOCK_MAX_ENTRIES, bounds the generator's stored entries,
+    which set the oracle's memory.
+    """
+    entries = fock_generator_entries(num_modes, num_bosons)
+    if entries <= FOCK_MAX_ENTRIES:
+        return None
+    states = comb(num_bosons + num_modes - 1, num_bosons)
+    return (
+        f"Fock generator of {num_bosons} bosons in {num_modes} modes has {entries} "
+        f"entries ({states} states), which exceeds guard {FOCK_MAX_ENTRIES}"
+    )
+
+
 def fock_oracle_distribution(
     operator,
     inputs,
     duration: float | None = None,
     norm_tol: float = 1e-9,
-    max_dim: int = FOCK_MAX_DIM,
 ) -> OutcomeDistribution:
     """Distribution via explicit evolution in the many-body Fock space.
 
@@ -271,11 +306,9 @@ def fock_oracle_distribution(
     """
     t = _occupation(inputs)
     m, n = len(t), sum(t)
-    basis_dim = comb(n + m - 1, m - 1)
-    if basis_dim > max_dim:
-        raise ValueError(
-            f"Fock basis dimension {basis_dim} exceeds guard {max_dim}"
-        )
+    refusal = fock_oracle_refusal(m, n)
+    if refusal:
+        raise ValueError(refusal)
     # scipy is imported only here, past the guard: at module level it would
     # double the time `import ionsampler` takes
     from scipy.linalg import logm
@@ -299,20 +332,51 @@ def fock_oracle_distribution(
     return _distribution_from_probs(basis, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D integer array, in lexicographic order, with the
+    index of each row's distinct row and the count of each distinct row.
+
+    One sort on the columns groups equal rows; a row is never packed into one
+    integer key, which would overflow int64 at M = 32, N = 16.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return ordered[starts], inverse, np.diff(np.append(starts, len(rows)))
+
+
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
-    """Relative frequencies of ``samples`` over the canonical outcome order."""
+    """Relative frequencies of ``samples`` over the canonical outcome order.
+
+    A sample that is not an outcome of N bosons in M modes (wrong length,
+    a negative entry or another total) raises ValueError naming it.
+    """
+    samples = np.asarray(samples, dtype=np.int64)
+    if not samples.size:
+        raise ValueError("no samples")
+    if samples.ndim != 2:
+        raise ValueError(f"samples must be rows of occupations, got shape {samples.shape}")
+    distinct, inverse, counts = _group_rows(samples)
+    foreign = (
+        (samples.shape[1] != num_modes)
+        | (distinct < 0).any(axis=1)
+        | (distinct.sum(axis=1) != num_bosons)
+    )
+    if foreign.any():
+        row = int(np.argmax(foreign[inverse]))
+        raise ValueError(
+            f"sample {row} {tuple(samples[row].tolist())} is not an outcome of "
+            f"{num_bosons} bosons in {num_modes} modes"
+        )
     outcomes = enumerate_outcomes(num_modes, num_bosons)
     index = {s: k for k, s in enumerate(outcomes)}
-    counts = np.zeros(len(outcomes))
-    total = 0
-    for row in np.asarray(samples, dtype=int):
-        counts[index[tuple(int(x) for x in row)]] += 1
-        total += 1
-    if total == 0:
-        raise ValueError("no samples")
-    return OutcomeDistribution(
-        num_modes, num_bosons, "empirical", tuple(outcomes), counts / total
-    )
+    probs = np.zeros(len(outcomes))
+    probs[[index[s] for s in map(tuple, distinct.tolist())]] = counts / len(samples)
+    return OutcomeDistribution(num_modes, num_bosons, "empirical", tuple(outcomes), probs)
 
 
 def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.ndarray:
@@ -363,15 +427,25 @@ def distribution_from_json(data: dict) -> OutcomeDistribution:
 
 
 def samples_to_csv(samples, fh) -> None:
-    """One comma-separated occupation vector per line, no header."""
-    for row in np.asarray(samples, dtype=int):
-        fh.write(",".join(str(int(x)) for x in row) + "\n")
+    """One comma-separated occupation vector per line, no header.
+
+    Each distinct row is formatted once and the lines are written a block
+    of CSV_BLOCK_LINES at a time.
+    """
+    samples = np.asarray(samples, dtype=np.int64)
+    for first in range(0, len(samples), CSV_BLOCK_LINES):
+        distinct, inverse, _ = _group_rows(samples[first:first + CSV_BLOCK_LINES])
+        text = np.array([",".join(map(str, row)) + "\n" for row in distinct.tolist()], dtype=object)
+        fh.write("".join(text[inverse].tolist()))
 
 
 def samples_from_csv(fh) -> np.ndarray:
-    rows = [
-        [int(x) for x in line.strip().split(",")]
-        for line in fh
-        if line.strip()
-    ]
-    return np.array(rows, dtype=int)
+    """The (samples, M) integer array of a :func:`samples_to_csv` file.
+
+    Blank and whitespace-only lines are skipped; a non-integer field or a
+    row whose length differs from the first raises ValueError.
+    """
+    text = _BLANK_LINES.sub("", fh.read())
+    if not text.strip():
+        return np.zeros((0, 0), dtype=np.int64)
+    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int64, ndmin=2, comments=None)

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boson_stats import CSV_BLOCK_LINES, _group_rows
+
 __all__ = [
     "DetectionParams",
     "ModeReadout",
@@ -157,11 +159,30 @@ def measure_chain(occupations, params: DetectionParams, seed) -> list[ModeReadou
     return [measure_mode(n, params, np.random.default_rng(s)) for n, s in zip(occupations, streams)]
 
 
-def readouts_to_csv(records, fh) -> None:
-    """Write (trial, mode, true_n, ModeReadout) records as CSV with header."""
+def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
+    """Write the readouts of (trials, modes) arrays as CSV with header.
+
+    One line per trial and mode, trials in order and modes numbered from 1;
+    repetitions equal reported_n, and overflow is reported_n reaching
+    ``max_repetitions``.  Each distinct ``mode,true_n,...`` tail and each
+    ``trial,`` head is formatted once, and the lines are written a block of
+    about CSV_BLOCK_LINES at a time.
+    """
+    true_n = np.asarray(true_n, dtype=np.int64)
+    reported = np.asarray(reported, dtype=np.int64)
+    trials, modes = true_n.shape
     fh.write(CSV_HEADER + "\n")
-    for trial, mode, true_n, readout in records:
-        fh.write(
-            f"{trial},{mode},{true_n},{readout.reported_n},"
-            f"{readout.repetitions},{int(readout.overflow)}\n"
+    step = max(1, CSV_BLOCK_LINES // max(modes, 1))
+    mode = np.broadcast_to(np.arange(1, modes + 1), (step, modes))
+    for first in range(0, trials, step):
+        last = min(first + step, trials)
+        rows = np.stack([mode[:last - first], true_n[first:last], reported[first:last]], axis=-1)
+        distinct, inverse, _ = _group_rows(rows.reshape(-1, 3))
+        tails = np.array(
+            [f"{m},{n},{r},{r},{int(r == max_repetitions)}\n" for m, n, r in distinct.tolist()],
+            dtype=object,
         )
+        pieces = np.empty((last - first, modes, 2), dtype=object)
+        pieces[:, :, 0] = np.array([f"{t}," for t in range(first, last)], dtype=object)[:, None]
+        pieces[:, :, 1] = tails[inverse].reshape(-1, modes)
+        fh.write("".join(pieces.ravel().tolist()))

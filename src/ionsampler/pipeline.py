@@ -19,7 +19,7 @@ simulated_unitary.json    unitary realized by the schedule under the full
 distribution.json         exact outcome distribution (compiled unitary when
                           present, ideal target otherwise)
 samples.csv               sampled outcomes, one occupation vector per line
-readouts.csv              per-trial, per-mode detection records
+readouts.csv              one detection readout per (trial, mode) line
 verify_report.json        cross-check metrics, skipped checks with their reasons
                           and per-stage timings
 ========================  ====================================================
@@ -37,12 +37,12 @@ import numpy as np
 
 from . import boson_stats, ion_chain
 from .boson_stats import (
-    FOCK_MAX_DIM,
     distribution_from_json,
     distribution_to_json,
     empirical_distribution,
     exact_distribution,
     fock_oracle_distribution,
+    fock_oracle_refusal,
     sample_outcomes,
     samples_from_csv,
     samples_to_csv,
@@ -50,7 +50,7 @@ from .boson_stats import (
 )
 from .config import RunConfig
 from .dd_compiler import PulseSchedule, compile_elements, simulate_schedule
-from .detection import ModeReadout, measure_modes, prepare_occupations, readouts_to_csv
+from .detection import measure_modes, prepare_occupations, readouts_to_csv
 from .ion_chain import CouplingMatrix, IonChain, build_chain, coupling_matrix
 from .linear_optics import (
     ElementSequence,
@@ -243,14 +243,8 @@ def run_detect(cfg: RunConfig, outdir: Path) -> None:
     # so true_n in the CSV is the post-preparation phonon number.
     true_n = prepare_occupations(samples, params.prep_error, rng)
     reported = measure_modes(true_n, params, rng)
-    trials, modes = np.indices(samples.shape).reshape(2, -1)
-    # a readout is fixed by its reported number: share one frozen instance each
-    cap = params.max_repetitions
-    readouts = [ModeReadout(r, r, r == cap) for r in range(cap + 1)]
-    records = zip(trials.tolist(), (modes + 1).tolist(), true_n.ravel().tolist(),
-                  map(readouts.__getitem__, reported.ravel().tolist()))
     with _atomic_open(outdir / "readouts.csv") as fh:
-        readouts_to_csv(records, fh)
+        readouts_to_csv(true_n, reported, params.max_repetitions, fh)
 
 
 def run_verify(cfg: RunConfig, outdir: Path, timings: dict[str, float]) -> dict:
@@ -289,12 +283,11 @@ def run_verify(cfg: RunConfig, outdir: Path, timings: dict[str, float]) -> dict:
                 f"tolerance {cfg.tolerances.normalization:.1e}"
             )
         source = sim if dist_data.get("source") == "simulated" else target
-        basis_dim = len(dist.outcomes)  # the outcomes are the oracle's Fock basis
         if source is None:
             reason = "the unitary the distribution was computed from is missing"
-            report["skipped"] = {"tvd_exact_vs_oracle": reason}
-        elif basis_dim > FOCK_MAX_DIM:
-            reason = f"Fock basis dimension {basis_dim} exceeds guard {FOCK_MAX_DIM}"
+        else:
+            reason = fock_oracle_refusal(dist.num_modes, dist.num_bosons)
+        if reason:
             report["skipped"] = {"tvd_exact_vs_oracle": reason}
         else:
             oracle = fock_oracle_distribution(

@@ -72,3 +72,22 @@ def reported_n_pmf(true_n: int, fidelity: float, max_repetitions: int) -> dict[i
         0, max_repetitions - n
     )
     return pmf
+
+
+def samples_csv_text(samples) -> str:
+    """samples.csv written the literal way: one joined row per line."""
+    lines = []
+    for row in np.asarray(samples, dtype=int):
+        lines.append(",".join(str(int(x)) for x in row) + "\n")
+    return "".join(lines)
+
+
+def readouts_csv_text(true_n, reported, max_repetitions: int) -> str:
+    """readouts.csv written the literal way: one f-string per (trial, mode),
+    modes numbered from 1, repetitions equal to the reported number."""
+    lines = ["trial,mode,true_n,reported_n,repetitions,overflow_flag\n"]
+    for trial in range(len(true_n)):
+        for mode in range(len(true_n[trial])):
+            n, r = int(true_n[trial][mode]), int(reported[trial][mode])
+            lines.append(f"{trial},{mode + 1},{n},{r},{r},{int(r == max_repetitions)}\n")
+    return "".join(lines)

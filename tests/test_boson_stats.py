@@ -1,5 +1,7 @@
 import io
+import re
 import tracemalloc
+from collections import Counter
 from math import comb, factorial
 
 import numpy as np
@@ -9,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ionsampler import boson_stats
 from ionsampler.boson_stats import (
     OUTCOME_MAX_COUNT,
     RYSER_CHUNK_ELEMENTS,
     empirical_distribution,
     enumerate_outcomes,
     exact_distribution,
+    fock_generator_entries,
     fock_oracle_distribution,
+    fock_oracle_refusal,
     outcome_probability,
     permanent_ryser,
     sample_outcomes,
@@ -267,22 +272,44 @@ class TestDistributions:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_fock_dimension_guard(self):
-        with pytest.raises(ValueError):
-            fock_oracle_distribution(np.eye(3), (2, 2, 2), max_dim=5)
+    def test_fock_dimension_guard(self, monkeypatch):
+        # (2, 2, 2): 28 states and 6 * C(7, 5) + 28 = 154 generator entries
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 153)
+        with pytest.raises(ValueError, match="154 entries .28 states., which exceeds guard 153"):
+            fock_oracle_distribution(np.eye(3), (2, 2, 2))
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 154)
+        assert fock_oracle_distribution(np.eye(3), (2, 2, 2)).total == pytest.approx(1.0)
+
+    def test_generator_entries_closed_form(self):
+        for m, n in ((4, 4), (8, 6), (6, 8), (12, 3), (5, 1), (1, 3)):
+            h = scipy.linalg.logm(haar_unitary(m, seed=m + n)) * 1j
+            h = (h + h.conj().T) / 2
+            lifted = boson_stats._lift_generator(h, enumerate_outcomes(m, n))
+            assert lifted.nnz == fock_generator_entries(m, n), (m, n)
+
+    def test_entry_guard_admits_the_old_basis_guard_up_to_20_modes(self):
+        # every basis the former 5e4-state guard admitted on up to 20 modes
+        for m in range(1, 21):
+            for n in range(0, 60):
+                if comb(n + m - 1, n) <= 50_000:
+                    assert fock_oracle_refusal(m, n) is None, (m, n)
+        assert fock_oracle_refusal(8, 6) is None  # haar8 and demo4 still run the oracle
+        assert fock_oracle_refusal(30, 4) is not None  # 40 920 states, 4.36e6 entries
 
     def test_fock_guard_refuses_before_allocating(self):
-        # M = N = 20 has C(39, 19) ~ 6.9e10 states; the guard must trip on
-        # the count alone, before any basis, generator or import is built
-        u = haar_unitary(20, seed=0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="exceeds guard"):
-                fock_oracle_distribution(u, (1,) * 20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        # M = N = 20 has C(39, 19) ~ 6.9e10 states, and M = 30, N = 4 only
+        # 40 920 but 4.36e6 generator entries; the guard must trip on the
+        # count alone, before any basis, generator or import is built
+        for m, n in ((20, 20), (30, 4)):
+            u = haar_unitary(m, seed=0)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exceeds guard"):
+                    fock_oracle_distribution(u, (1,) * n + (0,) * (m - n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     @given(seed=st.integers(0, 5_000), dim=st.integers(2, 4), bosons=st.integers(1, 3))
     @settings(max_examples=30)
@@ -318,6 +345,35 @@ class TestSampling:
         emp = empirical_distribution(samples, 2, 2)
         assert total_variation_distance(emp, dist) < 0.02
 
+    def test_empirical_matches_counting_each_row(self):
+        dist = exact_distribution(haar_unitary(5, seed=2), (2, 1, 1, 0, 0))
+        samples = sample_outcomes(dist, 3000, seed=8)
+        counts = Counter(map(tuple, samples.tolist()))
+        expected = [counts[s] / len(samples) for s in dist.outcomes]
+        emp = empirical_distribution(samples, 5, 4)
+        assert emp.probabilities.tolist() == expected  # bit for bit
+
+    def test_row_grouping_past_an_integer_key(self):
+        # M = 40 with entries up to 12: a base-13 row key would overflow int64
+        rows = np.random.default_rng(5).integers(0, 13, size=(2000, 40))
+        rows = np.concatenate([rows, rows[::3], rows[:1]])  # repeated rows
+        counts = Counter(map(tuple, rows.tolist()))
+        distinct, inverse, n = boson_stats._group_rows(rows)
+        assert [tuple(r) for r in distinct.tolist()] == sorted(counts)
+        assert n.tolist() == [counts[r] for r in sorted(counts)]
+        np.testing.assert_array_equal(distinct[inverse], rows)
+
+    @pytest.mark.parametrize("row, bad", [
+        ((1, 2, 0), "sample 0 (1, 2, 0)"),  # three modes, not four
+        ((0, 4, -1, 0), "sample 2 (0, 4, -1, 0)"),  # negative entry
+        ((0, 2, 0, 0), "sample 2 (0, 2, 0, 0)"),  # two bosons, not three
+    ])
+    def test_foreign_sample_rows_rejected(self, row, bad):
+        good = [(1, 1, 1, 0), (0, 0, 0, 3)]
+        samples = [row] * 3 if len(row) != 4 else good + [row] + good
+        with pytest.raises(ValueError, match=re.escape(bad) + " is not an outcome of 3 bosons in 4 modes"):
+            empirical_distribution(samples, 4, 3)
+
     def test_empirical_provenance_not_samplable(self):
         dist = exact_distribution(BALANCED, (1, 1))
         emp = empirical_distribution(sample_outcomes(dist, 10, seed=0), 2, 2)
@@ -340,6 +396,32 @@ class TestComparisonAndSerialization:
         b = exact_distribution(np.eye(3), (1, 1, 0))
         with pytest.raises(ValueError):
             total_variation_distance(a, b)
+
+    @pytest.mark.parametrize("samples", [
+        np.array([[10, 0, 3], [0, 13, 0], [10, 0, 3], [1, 1, 11]] * 3),  # multi-digit entries
+        np.array([[4], [4], [4]]),  # M = 1
+        np.zeros((0, 3), dtype=int),  # zero rows
+        np.random.default_rng(3).integers(0, 13, size=(300, 40)),  # M = 40, entries up to 12
+    ])
+    @pytest.mark.parametrize("block", [boson_stats.CSV_BLOCK_LINES, 7])
+    def test_samples_csv_matches_row_writer(self, samples, block, monkeypatch):
+        monkeypatch.setattr(boson_stats, "CSV_BLOCK_LINES", block)
+        buf = io.StringIO()
+        samples_to_csv(samples, buf)
+        assert buf.getvalue() == oracles.samples_csv_text(samples)
+        if len(samples):
+            buf.seek(0)
+            np.testing.assert_array_equal(samples_from_csv(buf), samples)
+
+    def test_samples_from_csv_skips_blank_lines(self):
+        for text in ("1,0,2\n\n0,3,0\n", "\n  \n1,0,2\n\t \n0,3,0", "1,0,2\r\n \r\n0,3,0\n\n\n"):
+            np.testing.assert_array_equal(samples_from_csv(io.StringIO(text)), [[1, 0, 2], [0, 3, 0]])
+        assert samples_from_csv(io.StringIO(" \n\n")).size == 0
+
+    @pytest.mark.parametrize("text", ["1,0,2\n0,x,3\n", "1,0,2\n0,3\n", "1,0,2\n0,1,1,1\n", "1,,2\n"])
+    def test_samples_from_csv_rejects_malformed_lines(self, text):
+        with pytest.raises(ValueError):
+            samples_from_csv(io.StringIO(text))
 
     def test_samples_csv_round_trip(self):
         dist = exact_distribution(BALANCED, (1, 1))

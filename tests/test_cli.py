@@ -143,6 +143,19 @@ class TestFailureModes:
         assert f"guard {OUTCOME_MAX_COUNT}" in err
         assert not (out / "distribution.json").exists()
 
+    def test_foreign_samples_are_exit_1(self, tmp_path, capsys):
+        # samples.csv left from a 3-ion run, verified against a 4-ion distribution
+        out = tmp_path / "out"
+        assert run("all", write_config(tmp_path), out, "--quiet") == 0
+        config = write_config(tmp_path, chain={"num_ions": 4}, input={"occupations": [1, 1, 1, 0]})
+        (out / "simulated_unitary.json").unlink()
+        for stage in ("positions", "decompose", "distribution"):
+            assert run(stage, config, out, "--quiet") == 0
+        capsys.readouterr()
+        assert run("verify", config, out, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample 0 (1, 1, 0) is not an outcome of 3 bosons in 4 modes")
+
     def test_validity_rejection(self, tmp_path, capsys):
         config = write_config(tmp_path, trap={"omega_x_hz": 1e6, "omega_z_hz": 0.9e6})
         out = tmp_path / "out"

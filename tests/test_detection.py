@@ -11,7 +11,6 @@ from scipy.stats import chi2_contingency
 import oracles
 from ionsampler.detection import (
     DetectionParams,
-    ModeReadout,
     measure_chain,
     measure_mode,
     measure_modes,
@@ -237,14 +236,32 @@ class TestMeasureChain:
 
 
 def test_csv_format():
-    records = [
-        (0, 1, 2, ModeReadout(reported_n=2, repetitions=2)),
-        (0, 2, 0, ModeReadout(reported_n=1, repetitions=1)),
-        (1, 1, 5, ModeReadout(reported_n=4, repetitions=4, overflow=True)),
-    ]
+    true_n = np.array([[2, 0], [5, 0]])
+    reported = np.array([[2, 1], [4, 0]])
     buf = io.StringIO()
-    readouts_to_csv(records, buf)
+    readouts_to_csv(true_n, reported, 4, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "trial,mode,true_n,reported_n,repetitions,overflow_flag"
     assert lines[1] == "0,1,2,2,2,0"
     assert lines[3] == "1,1,5,4,4,1"
+
+
+def _readout_cases():
+    rng = np.random.default_rng(17)
+    # 10 001 trials of 8 modes: trial indices past 10^4, true_n past 10, and
+    # more lines than one write block
+    many = rng.integers(0, 14, size=(10_001, 8))
+    yield many, np.minimum(many + rng.integers(-1, 2, size=many.shape), 10).clip(0), 10
+    yield np.array([[3], [0], [12]]), np.array([[3], [1], [6]]), 6  # M = 1
+    yield np.zeros((0, 4), dtype=int), np.zeros((0, 4), dtype=int), 10  # zero rows
+    overflow = rng.integers(0, 6, size=(50, 3))
+    yield overflow, np.full(overflow.shape, 4), 4  # every readout overflows
+    wide = rng.integers(0, 13, size=(40, 40))
+    yield wide, wide, 12  # M = 40, entries up to 12
+
+
+@pytest.mark.parametrize("true_n, reported, cap", list(_readout_cases()))
+def test_csv_matches_row_writer(true_n, reported, cap):
+    buf = io.StringIO()
+    readouts_to_csv(true_n, reported, cap, buf)
+    assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, cap)

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 import oracles
-from ionsampler import pipeline
+from ionsampler import boson_stats, pipeline
 from ionsampler.boson_stats import samples_to_csv
 from ionsampler.config import parse_config
 from ionsampler.detection import prepare_mode_distribution
@@ -110,11 +110,13 @@ class TestVerifySkips:
     def test_over_guard_basis_is_reported(self, tmp_path, monkeypatch):
         cfg = make_config()
         self.run_through_distribution(cfg, tmp_path)
-        monkeypatch.setattr(pipeline, "FOCK_MAX_DIM", 5)  # the basis has 10 states
+        # the 10-state basis of 3 bosons in 3 modes has 46 generator entries
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 45)
         report = pipeline.run_pipeline(cfg, ("verify",), tmp_path, quiet=True)
         assert "tvd_exact_vs_oracle" not in report
         assert report["skipped"] == {
-            "tvd_exact_vs_oracle": "Fock basis dimension 10 exceeds guard 5"
+            "tvd_exact_vs_oracle": "Fock generator of 3 bosons in 3 modes has 46 entries "
+            "(10 states), which exceeds guard 45"
         }
         on_disk = json.loads((tmp_path / "verify_report.json").read_text())
         assert on_disk["skipped"] == report["skipped"]
