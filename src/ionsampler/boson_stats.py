@@ -232,9 +232,14 @@ def _distribution_from_probs(outcomes, provenance, probs, norm_tol):
     return OutcomeDistribution(m, n, provenance, tuple(outcomes), probs)
 
 
-def exact_distribution(matrix, inputs, norm_tol: float = 1e-9) -> OutcomeDistribution:
-    """Permanent-route distribution over every outcome with the input's boson total."""
-    u = assert_unitary(matrix)
+def exact_distribution(
+    matrix, inputs, norm_tol: float = 1e-9, unit_tol: float = 1e-10
+) -> OutcomeDistribution:
+    """Permanent-route distribution over every outcome with the input's boson total.
+
+    ``matrix`` must be unitary within ``unit_tol`` (max |U^dag U - I|).
+    """
+    u = assert_unitary(matrix, unit_tol)
     t = _occupation(inputs, u.shape[0])
     outcomes = enumerate_outcomes(len(t), sum(t))
     return _distribution_from_probs(outcomes, "exact", _probabilities(u, outcomes, t), norm_tol)
@@ -293,15 +298,16 @@ def fock_oracle_distribution(
     inputs,
     duration: float | None = None,
     norm_tol: float = 1e-9,
+    unit_tol: float = 1e-10,
 ) -> OutcomeDistribution:
     """Distribution via explicit evolution in the many-body Fock space.
 
-    With ``duration`` omitted, ``operator`` is a one-particle unitary whose
-    Hermitian generator is recovered by a matrix logarithm; otherwise it is
-    a Hermitian hopping matrix evolved for ``duration`` seconds.  The
-    generator is second-quantized with the usual sqrt(n) ladder factors on
-    the C(N+M-1, M-1)-dimensional number basis, and exp(-iHt) is applied
-    to the input state alone (Al-Mohy & Higham's truncated Taylor series,
+    With ``duration`` omitted, ``operator`` is a one-particle unitary (within
+    ``unit_tol``) whose Hermitian generator is recovered by a matrix
+    logarithm; otherwise it is a Hermitian hopping matrix evolved for
+    ``duration`` seconds.  The generator is second-quantized with the usual
+    sqrt(n) ladder factors on the C(N+M-1, M-1)-dimensional number basis,
+    and exp(-iHt) is applied to the input state alone (Al-Mohy & Higham's truncated Taylor series,
     ``scipy.sparse.linalg.expm_multiply``) — no permanents anywhere.
     """
     t = _occupation(inputs)
@@ -315,7 +321,7 @@ def fock_oracle_distribution(
     from scipy.sparse.linalg import expm_multiply
 
     if duration is None:
-        u = assert_unitary(operator)
+        u = assert_unitary(operator, unit_tol)
         if u.shape[0] != m:
             raise ValueError("operator dimension does not match occupations")
         h = 1j * logm(u)

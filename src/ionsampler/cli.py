@@ -66,8 +66,6 @@ def _print_report(report: dict) -> None:
             print(f"  {label}: {report[key]:.6e}")
     for key, reason in report.get("skipped", {}).items():
         print(f"  skipped {_REPORT_LABELS.get(key, key)}: {reason}")
-    for stage, seconds in report.get("timings_s", {}).items():
-        print(f"  time[{stage}]: {seconds:.3f} s")
 
 
 def main(argv=None) -> int:

@@ -134,11 +134,6 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return sum(s.duration for s in self.steps if not isinstance(s, PhaseEvent))
 
-    @property
-    def num_events(self) -> int:
-        """Phase events of the flat export."""
-        return sum(isinstance(s, PhaseEvent) for s in self.expand().steps)
-
     def expand(self) -> "PulseSchedule":
         """The flat export: each block written out as free-evolution segments
         and the pi events entering its frames, back-to-back segments merged."""
@@ -279,7 +274,6 @@ def compile_beam_splitter(
     theta: float,
     n_sub: int = 16,
     scheme: str = "hadamard",
-    max_duration: float | None = None,
 ) -> PulseSchedule:
     """One decoupling block realizing a beam splitter of angle ``theta`` on (j, j+1).
 
@@ -290,8 +284,9 @@ def compile_beam_splitter(
     multiple of 2 pi and the simulated schedule converges to the ideal
     beam splitter as n_sub grows.
 
-    ``max_duration`` defaults to 1e6 / min(K): pathologically weak
-    couplings would otherwise demand absurd schedule lengths.
+    A pair coupled so weakly that the schedule would outlast
+    MAX_DURATION_FACTOR / max(K) is refused: it would demand an absurd
+    schedule length.
     """
     rates = coupling.rates
     dim = rates.shape[0]
@@ -303,9 +298,7 @@ def compile_beam_splitter(
 
     rate = rates[pair_index - 1, pair_index]
     total = theta / rate
-    off_diag = rates[~np.eye(dim, dtype=bool)]
-    if max_duration is None:
-        max_duration = MAX_DURATION_FACTOR / off_diag.min()
+    max_duration = MAX_DURATION_FACTOR / rates.max()
     if total > max_duration:
         raise ValueError(
             f"schedule duration {total:.3e} s exceeds limit {max_duration:.3e} s; "
@@ -350,12 +343,30 @@ def compile_unitary(
     return compile_elements(coupling, reck_decompose(target, tol), n_sub, scheme)
 
 
+def _unitary_power(period: np.ndarray, n: int) -> np.ndarray:
+    """``period ** n`` for a period that is unitary up to rounding.
+
+    The period is replaced by its polar factor (the nearest unitary) and
+    raised to ``n`` in its complex Schur basis, with the eigenvalues put
+    back on the unit circle, so the rounding of the many slice products
+    does not compound over the repetitions.
+    """
+    # scipy is imported here, not with the package, to keep start-up fast
+    from scipy.linalg import schur
+
+    w, _, vh = np.linalg.svd(period)
+    t, z = schur(w @ vh, output="complex")
+    phases = np.diag(t) / np.abs(np.diag(t))
+    return (z * phases**n) @ z.conj().T
+
+
 def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     """Exact unitary produced by a schedule under the full coupling matrix.
 
     A slice in the diagonal sign frame S evolves as S exp(-i K tau) S, a block
-    as the product over one repetition to the power ``n_sub``, and a phase
-    event as a diagonal matrix.  Steps compose in list order.
+    as the product over one repetition to the power ``n_sub``
+    (:func:`_unitary_power`), and a phase event as a diagonal matrix.  Steps
+    compose in list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
@@ -369,7 +380,7 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
             period = np.eye(schedule.dim, dtype=complex)
             for frame in step.frames + step.frames[::-1]:
                 period = (free * np.outer(frame.signs, frame.signs)) @ period
-            total = np.linalg.matrix_power(period, step.n_sub) @ total
+            total = _unitary_power(period, step.n_sub) @ total
         elif isinstance(step, EvolutionSegment):
             total = evolve_modes(k, step.duration) @ total
         else:

@@ -15,8 +15,7 @@ around the target number.  The kernels take a whole array of modes and
 one generator: the preparation noise is one uniform per mode, then the
 readout runs round by round with one uniform for each mode still dark.
 A single mode therefore consumes the same draws as a scalar loop, and a
-seeded run reproduces bit-for-bit.  ``measure_chain`` gives each mode its
-own substream, spawned by mode index from one seed.
+seeded run reproduces bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "prepare_mode_distribution",
     "prepare_occupations",
     "measure_modes",
-    "sample_prepared_occupation",
     "measure_mode",
     "measure_chain",
     "readouts_to_csv",
@@ -133,11 +131,6 @@ def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> 
     return reported.reshape(true_n.shape)
 
 
-def sample_prepared_occupation(n_target: int, eps: float, rng: np.random.Generator) -> int:
-    """Draw one phonon number from :func:`prepare_mode_distribution`."""
-    return int(prepare_occupations([n_target], eps, rng)[0])
-
-
 def measure_mode(true_n: int, params: DetectionParams, rng: np.random.Generator) -> ModeReadout:
     """Simulate the repeat-until-bright readout of one mode.
 
@@ -149,14 +142,10 @@ def measure_mode(true_n: int, params: DetectionParams, rng: np.random.Generator)
 
 
 def measure_chain(occupations, params: DetectionParams, seed) -> list[ModeReadout]:
-    """Independent per-mode readouts with substreams spawned from one seed.
-
-    Substream assignment is by mode index, so results are reproducible and
-    modes could be simulated in any order (or in parallel) without
-    changing the outcome.
-    """
-    streams = np.random.SeedSequence(seed).spawn(len(occupations))
-    return [measure_mode(n, params, np.random.default_rng(s)) for n, s in zip(occupations, streams)]
+    """Readouts of every mode of one chain, drawn by :func:`measure_modes`
+    from one generator seeded with ``seed``."""
+    reported = measure_modes(occupations, params, np.random.default_rng(seed)).tolist()
+    return [ModeReadout(r, r, r == params.max_repetitions) for r in reported]
 
 
 def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest max(K_ij)/omega_x the weak-hopping model is trusted at.
+VALIDITY_THRESHOLD = 1e-2
+
 __all__ = [
     "ConvergenceError",
     "ValidityError",
@@ -159,12 +162,12 @@ def build_chain(params: TrapParams, tol: float = 1e-12, max_iter: int = 200) -> 
     return IonChain(params, equilibrium_positions(params.num_ions, tol, max_iter))
 
 
-def coupling_matrix(chain: IonChain, validity_threshold: float = 1e-2) -> CouplingMatrix:
+def coupling_matrix(chain: IonChain) -> CouplingMatrix:
     """Phonon hopping-rate matrix K_ij = hopping_scale / |u_i - u_j|^3.
 
     The perturbative phonon-hopping picture requires every rate to sit far
     below the transverse trap frequency; chains violating
-    max(K_ij)/omega_x <= validity_threshold are rejected.
+    max(K_ij)/omega_x <= VALIDITY_THRESHOLD are rejected.
 
     Raises
     ------
@@ -181,27 +184,29 @@ def coupling_matrix(chain: IonChain, validity_threshold: float = 1e-2) -> Coupli
         rates = chain.params.hopping_scale / diff**3
         np.fill_diagonal(rates, 0.0)
     ratio = float(rates.max() / chain.params.omega_x) if m > 1 else 0.0
-    if ratio > validity_threshold:
+    if ratio > VALIDITY_THRESHOLD:
         raise ValidityError(
             f"max hopping rate is {ratio:.3e} of omega_x, above the "
-            f"validity threshold {validity_threshold:.1e}; increase the "
+            f"validity threshold {VALIDITY_THRESHOLD:.1e}; increase the "
             "omega_x/omega_z ratio or shorten the chain"
         )
     return CouplingMatrix(rates=rates, validity_ratio=ratio)
 
 
 def to_json(chain: IonChain, coupling: CouplingMatrix) -> dict:
-    """Serialize positions and rates: {"positions": [...], "rates_rad_per_s": [[...]]}."""
+    """Serialize positions, rates and validity ratio:
+    {"positions": [...], "rates_rad_per_s": [[...]], "validity_ratio": r}."""
     return {
         "positions": [float(x) for x in chain.positions],
         "rates_rad_per_s": [[float(x) for x in row] for row in coupling.rates],
+        "validity_ratio": float(coupling.validity_ratio),
     }
 
 
-def from_json(data: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`to_json`; returns (positions, rates) arrays."""
+def from_json(data: dict) -> tuple[np.ndarray, CouplingMatrix]:
+    """Inverse of :func:`to_json`; returns the positions and the coupling."""
     positions = np.asarray(data["positions"], dtype=float)
     rates = np.asarray(data["rates_rad_per_s"], dtype=float)
     if rates.shape != (positions.size, positions.size):
         raise ValueError("rates shape does not match positions length")
-    return positions, rates
+    return positions, CouplingMatrix(rates, float(data["validity_ratio"]))

@@ -221,10 +221,11 @@ def reck_decompose(matrix, tol: float = 1e-10) -> ElementSequence:
     return ElementSequence(m, tuple(elements))
 
 
-def unitary_distance(u, v) -> float:
-    """Global-phase-invariant distance 1 - |tr(U^dag V)| / M."""
-    a = assert_unitary(u)
-    b = assert_unitary(v)
+def unitary_distance(u, v, tol: float = 1e-10) -> float:
+    """Global-phase-invariant distance 1 - |tr(U^dag V)| / M between two
+    matrices unitary within ``tol``."""
+    a = assert_unitary(u, tol)
+    b = assert_unitary(v, tol)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     m = a.shape[0]

@@ -3,26 +3,11 @@
 Each stage reads the artifacts of its upstream stages from the output
 directory and writes its own, so a full run and a sequence of
 single-stage runs produce identical files.  Requesting a stage whose
-inputs are missing raises :class:`PipelineError` rather than silently
-recomputing the upstream work.
-
-Artifacts (all in the output directory):
-
-========================  ====================================================
-positions.json            solved equilibrium positions
-couplings.json            positions + hopping-rate matrix (rad/s)
-target_unitary.json       target mode unitary, {"dim", "re", "im"}
-elements.json             triangular-mesh element list for the target
-schedule.json             compiled pulse schedule, one block per beam splitter
-simulated_unitary.json    unitary realized by the schedule under the full
-                          long-range coupling
-distribution.json         exact outcome distribution (compiled unitary when
-                          present, ideal target otherwise)
-samples.csv               sampled outcomes, one occupation vector per line
-readouts.csv              one detection readout per (trial, mode) line
-verify_report.json        cross-check metrics, skipped checks with their reasons
-                          and per-stage timings
-========================  ====================================================
+inputs are missing raises :class:`PipelineError`, naming the stage that
+writes them (:data:`PRODUCERS`), rather than silently recomputing the
+upstream work.  Every run that completes also writes ``manifest.json``
+with the wall time of each stage it ran; it is the only file that differs
+between reruns.
 """
 
 from __future__ import annotations
@@ -35,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boson_stats, ion_chain
+from . import ion_chain
 from .boson_stats import (
     distribution_from_json,
     distribution_to_json,
@@ -51,7 +36,7 @@ from .boson_stats import (
 from .config import RunConfig
 from .dd_compiler import PulseSchedule, compile_elements, simulate_schedule
 from .detection import measure_modes, prepare_occupations, readouts_to_csv
-from .ion_chain import CouplingMatrix, IonChain, build_chain, coupling_matrix
+from .ion_chain import IonChain, build_chain, coupling_matrix
 from .linear_optics import (
     ElementSequence,
     assert_unitary,
@@ -62,6 +47,7 @@ from .linear_optics import (
 )
 
 __all__ = [
+    "PRODUCERS",
     "STAGES",
     "PipelineError",
     "VerifyToleranceError",
@@ -70,17 +56,25 @@ __all__ = [
     "run_pipeline",
 ]
 
-STAGES = (
-    "positions",
-    "couplings",
-    "decompose",
-    "compile",
-    "simulate",
-    "distribution",
-    "sample",
-    "detect",
-    "verify",
-)
+# Every artifact of the output directory and the stage that writes it.
+PRODUCERS = {
+    "positions.json": "positions",
+    "couplings.json": "couplings",
+    "target_unitary.json": "decompose",
+    "elements.json": "decompose",
+    "schedule.json": "compile",
+    "simulated_unitary.json": "simulate",
+    "distribution.json": "distribution",
+    "samples.csv": "sample",
+    "readouts.csv": "detect",
+    "verify_report.json": "verify",
+}
+
+# The unitaries a distribution can be computed from, in order of preference
+# (the compiled interferometer over the ideal target), with the source tag
+# that distribution.json records.
+SOURCES = {"simulated_unitary.json": "simulated", "target_unitary.json": "target"}
+
 
 class PipelineError(RuntimeError):
     """A stage could not run: missing upstream artifact or bad input data."""
@@ -117,23 +111,24 @@ def _atomic_open(path: Path):
 
 
 def _write_json(path: Path, data: dict) -> None:
+    # json.dumps encodes in C; json.dump would take the pure-Python encoder
     with _atomic_open(path) as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data) + "\n")
 
 
-def _read_json(outdir: Path, name: str, producer: str) -> dict:
-    path = outdir / name
-    if not path.exists():
-        raise PipelineError(f"missing artifact {name}; run the '{producer}' stage first")
-    with open(path) as fh:
+def _artifact(outdir: Path, *names: str) -> Path:
+    """The first of ``names`` present in ``outdir``; if none is, the error
+    names the stage that writes each."""
+    for name in names:
+        if (outdir / name).exists():
+            return outdir / name
+    stages = " or ".join(f"'{PRODUCERS[name]}'" for name in names)
+    raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
+
+
+def _read_json(outdir: Path, name: str) -> dict:
+    with open(_artifact(outdir, name)) as fh:
         return json.load(fh)
-
-
-def _load_coupling(outdir: Path) -> CouplingMatrix:
-    data = _read_json(outdir, "couplings.json", "couplings")
-    _, rates = ion_chain.from_json(data)
-    return CouplingMatrix(rates=rates, validity_ratio=float(data["validity_ratio"]))
 
 
 def run_positions(cfg: RunConfig, outdir: Path) -> None:
@@ -145,12 +140,9 @@ def run_positions(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_couplings(cfg: RunConfig, outdir: Path) -> None:
-    data = _read_json(outdir, "positions.json", "positions")
+    data = _read_json(outdir, "positions.json")
     chain = IonChain(cfg.trap, np.asarray(data["positions"], dtype=float))
-    coupling = coupling_matrix(chain)
-    payload = ion_chain.to_json(chain, coupling)
-    payload["validity_ratio"] = coupling.validity_ratio
-    _write_json(outdir / "couplings.json", payload)
+    _write_json(outdir / "couplings.json", ion_chain.to_json(chain, coupling_matrix(chain)))
 
 
 def _target_unitary(cfg: RunConfig) -> np.ndarray:
@@ -188,54 +180,41 @@ def run_decompose(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_compile(cfg: RunConfig, outdir: Path) -> None:
-    coupling = _load_coupling(outdir)
-    el_data = _read_json(outdir, "elements.json", "decompose")
+    _, coupling = ion_chain.from_json(_read_json(outdir, "couplings.json"))
+    el_data = _read_json(outdir, "elements.json")
     seq = ElementSequence.from_json(int(el_data["dim"]), el_data["elements"])
     schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
     _write_json(outdir / "schedule.json", schedule.to_json())
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> None:
-    coupling = _load_coupling(outdir)
-    schedule = PulseSchedule.from_json(_read_json(outdir, "schedule.json", "compile"))
+    _, coupling = ion_chain.from_json(_read_json(outdir, "couplings.json"))
+    schedule = PulseSchedule.from_json(_read_json(outdir, "schedule.json"))
     u = simulate_schedule(coupling, schedule)
     _write_json(outdir / "simulated_unitary.json", matrix_to_json(u))
 
 
-def _distribution_source(outdir: Path) -> tuple[np.ndarray, str]:
-    """Prefer the compiled-and-simulated unitary over the ideal target."""
-    sim = outdir / "simulated_unitary.json"
-    if sim.exists():
-        return matrix_from_json(_read_json(outdir, sim.name, "simulate")), "simulated"
-    tgt = outdir / "target_unitary.json"
-    if tgt.exists():
-        return matrix_from_json(_read_json(outdir, tgt.name, "decompose")), "target"
-    raise PipelineError(
-        "missing artifact simulated_unitary.json or target_unitary.json; "
-        "run the 'simulate' (or at least 'decompose') stage first"
-    )
-
-
 def run_distribution(cfg: RunConfig, outdir: Path) -> None:
-    u, source = _distribution_source(outdir)
-    dist = exact_distribution(u, cfg.occupations, norm_tol=cfg.tolerances.normalization)
+    name = _artifact(outdir, *SOURCES).name
+    u = matrix_from_json(_read_json(outdir, name))
+    dist = exact_distribution(
+        u, cfg.occupations, norm_tol=cfg.tolerances.normalization,
+        unit_tol=cfg.tolerances.unitarity,
+    )
     payload = distribution_to_json(dist)
-    payload["source"] = source
+    payload["source"] = SOURCES[name]
     _write_json(outdir / "distribution.json", payload)
 
 
 def run_sample(cfg: RunConfig, outdir: Path) -> None:
-    dist = distribution_from_json(_read_json(outdir, "distribution.json", "distribution"))
+    dist = distribution_from_json(_read_json(outdir, "distribution.json"))
     samples = sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed)
     with _atomic_open(outdir / "samples.csv") as fh:
         samples_to_csv(samples, fh)
 
 
 def run_detect(cfg: RunConfig, outdir: Path) -> None:
-    path = outdir / "samples.csv"
-    if not path.exists():
-        raise PipelineError("missing artifact samples.csv; run the 'sample' stage first")
-    with open(path) as fh:
+    with open(_artifact(outdir, "samples.csv")) as fh:
         samples = samples_from_csv(fh)
     params = cfg.detection
     rng = np.random.default_rng(params.seed)
@@ -247,42 +226,43 @@ def run_detect(cfg: RunConfig, outdir: Path) -> None:
         readouts_to_csv(true_n, reported, params.max_repetitions, fh)
 
 
-def run_verify(cfg: RunConfig, outdir: Path, timings: dict[str, float]) -> dict:
+def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     """Cross-check whatever artifacts exist; enforce configured tolerances.
 
     Only the normalization residual and the unitarity of stored matrices
     are *enforced* (they have configured tolerances); the distance and TVD
     fields are diagnostics for the caller.
     """
-    t0 = time.perf_counter()
+    tols = cfg.tolerances
     report: dict = {}
 
-    target = sim = None
-    if (outdir / "target_unitary.json").exists():
-        target = matrix_from_json(_read_json(outdir, "target_unitary.json", "decompose"))
-    if (outdir / "simulated_unitary.json").exists():
-        sim = matrix_from_json(_read_json(outdir, "simulated_unitary.json", "simulate"))
-    for name, u in (("target", target), ("simulated", sim)):
-        if u is not None:
-            try:
-                assert_unitary(u, cfg.tolerances.unitarity)
-            except ValueError as exc:
-                raise VerifyToleranceError(f"{name} unitary failed unitarity check: {exc}")
-    if target is not None and sim is not None:
-        report["unitary_distance_achieved_vs_target"] = unitary_distance(sim, target)
+    unitaries = {
+        source: matrix_from_json(_read_json(outdir, name))
+        for name, source in SOURCES.items()
+        if (outdir / name).exists()
+    }
+    for source, u in unitaries.items():
+        try:
+            assert_unitary(u, tols.unitarity)
+        except ValueError as exc:
+            raise VerifyToleranceError(f"{source} unitary failed unitarity check: {exc}")
+    if len(unitaries) == len(SOURCES):
+        report["unitary_distance_achieved_vs_target"] = unitary_distance(
+            unitaries["simulated"], unitaries["target"], tols.unitarity
+        )
 
     dist = None
     if (outdir / "distribution.json").exists():
-        dist_data = _read_json(outdir, "distribution.json", "distribution")
+        dist_data = _read_json(outdir, "distribution.json")
         dist = distribution_from_json(dist_data)
         residual = abs(dist.total - 1.0)
         report["normalization_residual"] = residual
-        if residual > cfg.tolerances.normalization:
+        if residual > tols.normalization:
             raise VerifyToleranceError(
                 f"distribution normalization residual {residual:.3e} exceeds "
-                f"tolerance {cfg.tolerances.normalization:.1e}"
+                f"tolerance {tols.normalization:.1e}"
             )
-        source = sim if dist_data.get("source") == "simulated" else target
+        source = unitaries.get(dist_data.get("source"))
         if source is None:
             reason = "the unitary the distribution was computed from is missing"
         else:
@@ -291,7 +271,7 @@ def run_verify(cfg: RunConfig, outdir: Path, timings: dict[str, float]) -> dict:
             report["skipped"] = {"tvd_exact_vs_oracle": reason}
         else:
             oracle = fock_oracle_distribution(
-                source, cfg.occupations, norm_tol=cfg.tolerances.normalization
+                source, cfg.occupations, norm_tol=tols.normalization, unit_tol=tols.unitarity
             )
             report["tvd_exact_vs_oracle"] = total_variation_distance(dist, oracle)
 
@@ -301,14 +281,12 @@ def run_verify(cfg: RunConfig, outdir: Path, timings: dict[str, float]) -> dict:
         emp = empirical_distribution(samples, dist.num_modes, dist.num_bosons)
         report["tvd_empirical_vs_exact"] = total_variation_distance(emp, dist)
 
-    timings = dict(timings)
-    timings["verify"] = time.perf_counter() - t0
-    report["timings_s"] = timings
     _write_json(outdir / "verify_report.json", report)
     return report
 
 
-_STAGE_FUNCS = {
+# The stages in dependency order.
+STAGES = {
     "positions": run_positions,
     "couplings": run_couplings,
     "decompose": run_decompose,
@@ -317,31 +295,32 @@ _STAGE_FUNCS = {
     "distribution": run_distribution,
     "sample": run_sample,
     "detect": run_detect,
+    "verify": run_verify,
 }
 
 
 def run_pipeline(cfg: RunConfig, stages, outdir, quiet: bool = False) -> dict | None:
     """Execute the requested stages in dependency order.
 
-    Returns the verify report when the verify stage ran, else None.
+    Writes the wall time of each stage to ``manifest.json``.  Returns what
+    the last stage run returns: the verify report when the verify stage
+    ran, else None.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    order = [s for s in STAGES if s in stages]
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise PipelineError(f"unknown stage(s): {', '.join(sorted(unknown))}")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     timings: dict[str, float] = {}
-    report = None
-    for name in order:
+    result = None
+    for name, run in STAGES.items():
+        if name not in stages:
+            continue
         t0 = time.perf_counter()
-        if name == "verify":
-            report = run_verify(cfg, outdir, timings)
-        else:
-            _STAGE_FUNCS[name](cfg, outdir)
-            timings[name] = time.perf_counter() - t0
+        result = run(cfg, outdir)
+        timings[name] = time.perf_counter() - t0
         if not quiet:
-            elapsed = report["timings_s"][name] if name == "verify" else timings[name]
-            print(f"[{name}] done in {elapsed:.3f} s")
-    return report
+            print(f"[{name}] done in {timings[name]:.3f} s")
+    _write_json(outdir / "manifest.json", {"timings_s": timings})
+    return result

@@ -15,8 +15,8 @@ from ionsampler.detection import (
     measure_mode,
     measure_modes,
     prepare_mode_distribution,
+    prepare_occupations,
     readouts_to_csv,
-    sample_prepared_occupation,
 )
 
 PERFECT = DetectionParams(readout_fidelity=1.0, prep_error=0.0)
@@ -94,7 +94,7 @@ class TestPreparation:
     def test_sampler_matches_distribution(self):
         rng = np.random.default_rng(17)
         trials = 20_000
-        counts = Counter(sample_prepared_occupation(1, 0.3, rng) for _ in range(trials))
+        counts = Counter(prepare_occupations(np.ones(trials, dtype=int), 0.3, rng).tolist())
         for value, p in prepare_mode_distribution(1, 0.3).items():
             sigma = np.sqrt(p * (1 - p) / trials)
             assert abs(counts[value] / trials - p) < 3 * sigma + 1e-9
@@ -226,10 +226,8 @@ class TestMeasureChain:
         # reported-n frequencies must reproduce the preparation weights
         trials = 20_000
         rng = np.random.default_rng(23)
-        counts = Counter(
-            measure_mode(sample_prepared_occupation(1, 0.3, rng), PERFECT, rng).reported_n
-            for _ in range(trials)
-        )
+        prepared = prepare_occupations(np.ones(trials, dtype=int), 0.3, rng)
+        counts = Counter(measure_modes(prepared, PERFECT, rng).tolist())
         for value, p in prepare_mode_distribution(1, 0.3).items():
             sigma = np.sqrt(p * (1 - p) / trials)
             assert abs(counts[value] / trials - p) < 3 * sigma + 1e-9

@@ -145,9 +145,10 @@ def test_json_round_trip():
     chain = build_chain(stiff_trap(5))
     k = coupling_matrix(chain)
     blob = json.dumps(ion_chain.to_json(chain, k))
-    positions, rates = ion_chain.from_json(json.loads(blob))
+    positions, coupling = ion_chain.from_json(json.loads(blob))
     np.testing.assert_array_equal(positions, chain.positions)
-    np.testing.assert_array_equal(rates, k.rates)
+    np.testing.assert_array_equal(coupling.rates, k.rates)
+    assert coupling.validity_ratio == k.validity_ratio
 
 
 def test_json_shape_mismatch_rejected():

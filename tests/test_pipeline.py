@@ -79,7 +79,6 @@ class TestAtomicWrites:
         path = tmp_path / "positions.json"
         pipeline._write_json(path, {"positions": [0.0]})
         before = path.read_bytes()
-        # json.dump writes "positions" before it reaches the unserializable value
         with pytest.raises(TypeError):
             pipeline._write_json(path, {"positions": [1.0, 2.0], "bad": object()})
         assert path.read_bytes() == before
