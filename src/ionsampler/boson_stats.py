@@ -25,7 +25,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linear_optics import assert_hermitian, assert_unitary
+from .linear_optics import UNITARITY_TOL, assert_hermitian, assert_unitary
 
 __all__ = [
     "permanent_ryser",
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 RYSER_MAX_DIM = 30
+# Largest |sum of probabilities - 1| a computed distribution may show.
+NORMALIZATION_TOL = 1e-9
 # The oracle's memory follows the stored entries of its lifted generator
 # (fock_generator_entries), at about 85-105 B each: one call peaked at 360 MB
 # RSS at M = 20, N = 5 (3.4e6 entries) and at 253 MB at M = 8, N = 12 (1.8e6).
@@ -233,7 +235,7 @@ def _distribution_from_probs(outcomes, provenance, probs, norm_tol):
 
 
 def exact_distribution(
-    matrix, inputs, norm_tol: float = 1e-9, unit_tol: float = 1e-10
+    matrix, inputs, norm_tol: float = NORMALIZATION_TOL, unit_tol: float = UNITARITY_TOL
 ) -> OutcomeDistribution:
     """Permanent-route distribution over every outcome with the input's boson total.
 
@@ -297,8 +299,8 @@ def fock_oracle_distribution(
     operator,
     inputs,
     duration: float | None = None,
-    norm_tol: float = 1e-9,
-    unit_tol: float = 1e-10,
+    norm_tol: float = NORMALIZATION_TOL,
+    unit_tol: float = UNITARITY_TOL,
 ) -> OutcomeDistribution:
     """Distribution via explicit evolution in the many-body Fock space.
 

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
-from .dd_compiler import SCHEMES
+from .boson_stats import NORMALIZATION_TOL
+from .dd_compiler import DEFAULT_N_SUB, DEFAULT_SCHEME, SCHEMES
 from .detection import DetectionParams
-from .ion_chain import TrapParams
+from .ion_chain import SOLVER_TOL, TrapParams
+from .linear_optics import UNITARITY_TOL
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 TARGET_KINDS = ("identity", "fourier", "haar", "file")
 _REQUIRED = object()  # the default of a field that must be present
+_SEED = {"minimum": 0}  # numpy seeds its generators from non-negative integers only
 
 
 class ConfigError(ValueError):
@@ -37,8 +41,8 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class DDSpec:
-    n_sub: int = 16
-    scheme: str = "hadamard"
+    n_sub: int = DEFAULT_N_SUB
+    scheme: str = DEFAULT_SCHEME
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,9 @@ class DetectionSpec(DetectionParams):
 
 @dataclass(frozen=True)
 class Tolerances:
-    solver: float = 1e-12
-    unitarity: float = 1e-10
-    normalization: float = 1e-9
+    solver: float = SOLVER_TOL
+    unitarity: float = UNITARITY_TOL
+    normalization: float = NORMALIZATION_TOL
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,26 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Copy with every stage seed replaced by ``seed``."""
+        if seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {seed}")
         return replace(
             self,
             target=replace(self.target, seed=seed),
             sampling=replace(self.sampling, seed=seed),
             detection=replace(self.detection, seed=seed),
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What each scalar kind accepts: a bool is never a number, and a float must be finite.
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
 class _Section:
@@ -98,60 +116,54 @@ class _Section:
 
     def _get(self, key, default):
         self.seen.add(key)
-        if key in self.data:
-            return self.data[key]
-        if default is _REQUIRED:
+        if key not in self.data and default is _REQUIRED:
             raise ConfigError(f"{self.path}.{key}: required field missing")
-        return default
+        return self.data.get(key, default)
 
-    def number(self, key, default=_REQUIRED, minimum=None):
+    def value(self, key, kind, default=_REQUIRED, minimum=None, choices=None):
+        """The scalar ``key`` as ``kind``: int, float or str (see ``_KINDS``)."""
         value = self._get(key, default)
         if key not in self.data:
             return default
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise ConfigError(f"{self.path}.{key}: expected a finite number, got {value!r}")
+        what, ok = _KINDS[kind]
+        if not ok(value):
+            raise ConfigError(f"{self.path}.{key}: expected {what}, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
-        return float(value)
-
-    def integer(self, key, default=_REQUIRED, minimum=None):
-        value = self._get(key, default)
-        if key not in self.data:
-            return default
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{self.path}.{key}: expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.path}.{key}: must be >= {minimum}, got {value}")
-        return value
-
-    def string(self, key, default=_REQUIRED, choices=None):
-        value = self._get(key, default)
-        if key not in self.data:
-            return default
-        if not isinstance(value, str):
-            raise ConfigError(f"{self.path}.{key}: expected a string, got {value!r}")
         if choices is not None and value not in choices:
-            raise ConfigError(
-                f"{self.path}.{key}: must be one of {', '.join(choices)}; got {value!r}"
-            )
-        return value
+            raise ConfigError(f"{self.path}.{key}: must be one of {', '.join(choices)}; got {value!r}")
+        return kind(value)
 
     def int_list(self, key):
         value = self._get(key, _REQUIRED)
-        if not isinstance(value, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in value
-        ):
+        if not isinstance(value, list) or not all(map(_is_int, value)):
             raise ConfigError(f"{self.path}.{key}: expected a list of integers")
         return [int(x) for x in value]
 
     def subsection(self, key, default=_REQUIRED):
         return _Section(self._get(key, default), f"{self.path}.{key}")
 
+    def spec(self, key, cls, **limits):
+        """The optional subsection ``key`` as the dataclass ``cls``, by the types and
+        defaults of its fields; ``limits`` maps a field to its ``minimum`` or ``choices``."""
+        section = self.subsection(key, default={})
+        kinds = get_type_hints(cls)
+        values = {f.name: section.value(f.name, kinds[f.name], f.default, **limits.get(f.name, {}))
+                  for f in fields(cls)}
+        section.finish()
+        return section.build(cls, **values)
+
+    def build(self, cls, *args, **kwargs):
+        """``cls(*args, **kwargs)``, its ValueError reported against this section."""
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+
     def finish(self):
         unknown = set(self.data) - self.seen
         if unknown:
-            name = sorted(unknown)[0]
-            raise ConfigError(f"{self.path}.{name}: unknown key (strict mode)")
+            raise ConfigError(f"{self.path}.{min(unknown)}: unknown key (strict mode)")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -162,18 +174,15 @@ def parse_config(data: dict) -> RunConfig:
     root = _Section(data, "config")
 
     trap_sec = root.subsection("trap")
-    omega_x_hz = trap_sec.number("omega_x_hz", minimum=0.0)
-    omega_z_hz = trap_sec.number("omega_z_hz", minimum=0.0)
+    omega_x_hz = trap_sec.value("omega_x_hz", float, minimum=0.0)
+    omega_z_hz = trap_sec.value("omega_z_hz", float, minimum=0.0)
     trap_sec.finish()
 
     chain_sec = root.subsection("chain")
-    num_ions = chain_sec.integer("num_ions", minimum=1)
+    num_ions = chain_sec.value("num_ions", int, minimum=1)
     chain_sec.finish()
 
-    try:
-        trap = TrapParams(2 * math.pi * omega_x_hz, 2 * math.pi * omega_z_hz, num_ions)
-    except ValueError as exc:
-        raise ConfigError(f"config.trap: {exc}") from exc
+    trap = trap_sec.build(TrapParams, 2 * math.pi * omega_x_hz, 2 * math.pi * omega_z_hz, num_ions)
 
     input_sec = root.subsection("input")
     occupations = input_sec.int_list("occupations")
@@ -189,51 +198,21 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("config.input.occupations: at least one boson required")
 
     target_sec = root.subsection("target")
-    kind = target_sec.string("kind", choices=TARGET_KINDS)
-    seed = target_sec.integer("seed", default=None)
-    path = target_sec.string("path", default=None)
+    kind = target_sec.value("kind", str, choices=TARGET_KINDS)
+    seed = target_sec.value("seed", int, None, **_SEED)
+    path = target_sec.value("path", str, None)
     target_sec.finish()
     if kind == "haar" and seed is None:
         raise ConfigError("config.target.seed: required for kind 'haar'")
     if kind == "file" and path is None:
         raise ConfigError("config.target.path: required for kind 'file'")
 
-    dd_sec = root.subsection("dd", default={})
-    dd = DDSpec(
-        n_sub=dd_sec.integer("n_sub", default=DDSpec.n_sub, minimum=1),
-        scheme=dd_sec.string("scheme", default=DDSpec.scheme, choices=SCHEMES),
-    )
-    dd_sec.finish()
-
-    sampling_sec = root.subsection("sampling", default={})
-    sampling = SamplingSpec(
-        num_samples=sampling_sec.integer("num_samples", default=SamplingSpec.num_samples, minimum=1),
-        seed=sampling_sec.integer("seed", default=SamplingSpec.seed),
-    )
-    sampling_sec.finish()
-
-    det_sec = root.subsection("detection", default={})
-    det_fields = dict(
-        readout_fidelity=det_sec.number("readout_fidelity", default=DetectionSpec.readout_fidelity),
-        prep_error=det_sec.number("prep_error", default=DetectionSpec.prep_error),
-        max_repetitions=det_sec.integer(
-            "max_repetitions", default=DetectionSpec.max_repetitions, minimum=1
-        ),
-        seed=det_sec.integer("seed", default=DetectionSpec.seed),
-    )
-    det_sec.finish()
-    try:
-        detection = DetectionSpec(**det_fields)
-    except ValueError as exc:
-        raise ConfigError(f"config.detection: {exc}") from exc
-
-    tol_sec = root.subsection("tolerances", default={})
-    tolerances = Tolerances(
-        solver=tol_sec.number("solver", default=Tolerances.solver, minimum=0.0),
-        unitarity=tol_sec.number("unitarity", default=Tolerances.unitarity, minimum=0.0),
-        normalization=tol_sec.number("normalization", default=Tolerances.normalization, minimum=0.0),
-    )
-    tol_sec.finish()
+    positive, non_negative = {"minimum": 1}, {"minimum": 0.0}
+    dd = root.spec("dd", DDSpec, n_sub=positive, scheme={"choices": SCHEMES})
+    sampling = root.spec("sampling", SamplingSpec, num_samples=positive, seed=_SEED)
+    detection = root.spec("detection", DetectionSpec, max_repetitions=positive, seed=_SEED)
+    tolerances = root.spec("tolerances", Tolerances, solver=non_negative,
+                           unitarity=non_negative, normalization=non_negative)
 
     root.finish()
     return RunConfig(trap, tuple(occupations), TargetSpec(kind, seed, path), dd, sampling, detection, tolerances)
@@ -248,6 +227,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(data)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .ion_chain import CouplingMatrix
 from .linear_optics import (
+    UNITARITY_TOL,
     BSElement,
     ElementSequence,
     _check_pair,
@@ -60,7 +61,8 @@ __all__ = [
     "SCHEMES",
 ]
 
-SCHEMES = ("nn", "hadamard")
+DEFAULT_N_SUB = 16
+DEFAULT_SCHEME = "hadamard"
 MAX_DURATION_FACTOR = 1e6
 
 
@@ -260,20 +262,20 @@ def hadamard_slice_patterns(dim: int, pair_index: int) -> list[SignPattern]:
     return patterns
 
 
-def _slice_frames(scheme: str, dim: int, pair_index: int) -> list[SignPattern]:
-    if scheme == "nn":
-        return [SignPattern((1,) * dim), nn_isolation_pattern(dim, pair_index)]
-    if scheme == "hadamard":
-        return hadamard_slice_patterns(dim, pair_index)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+# Each decoupling scheme and the builder of its slice frames for (dim, pair_index).
+_FRAME_BUILDERS = {
+    "nn": lambda dim, pair: [SignPattern((1,) * dim), nn_isolation_pattern(dim, pair)],
+    "hadamard": hadamard_slice_patterns,
+}
+SCHEMES = tuple(_FRAME_BUILDERS)
 
 
 def compile_beam_splitter(
     coupling: CouplingMatrix,
     pair_index: int,
     theta: float,
-    n_sub: int = 16,
-    scheme: str = "hadamard",
+    n_sub: int = DEFAULT_N_SUB,
+    scheme: str = DEFAULT_SCHEME,
 ) -> PulseSchedule:
     """One decoupling block realizing a beam splitter of angle ``theta`` on (j, j+1).
 
@@ -305,7 +307,9 @@ def compile_beam_splitter(
             "coupling too weak for the requested angle"
         )
 
-    frames = _slice_frames(scheme, dim, pair_index)
+    if scheme not in _FRAME_BUILDERS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    frames = _FRAME_BUILDERS[scheme](dim, pair_index)
     tau = total / (n_sub * 2 * len(frames))
     return PulseSchedule(dim, (DecouplingBlock(tau, frames, n_sub),))
 
@@ -313,8 +317,8 @@ def compile_beam_splitter(
 def compile_elements(
     coupling: CouplingMatrix,
     sequence: ElementSequence,
-    n_sub: int = 16,
-    scheme: str = "hadamard",
+    n_sub: int = DEFAULT_N_SUB,
+    scheme: str = DEFAULT_SCHEME,
 ) -> PulseSchedule:
     """Concatenate compiled beam splitters and instantaneous phase events."""
     if sequence.dim != coupling.rates.shape[0]:
@@ -334,9 +338,9 @@ def compile_elements(
 def compile_unitary(
     coupling: CouplingMatrix,
     target,
-    n_sub: int = 16,
-    scheme: str = "hadamard",
-    tol: float = 1e-10,
+    n_sub: int = DEFAULT_N_SUB,
+    scheme: str = DEFAULT_SCHEME,
+    tol: float = UNITARITY_TOL,
 ) -> PulseSchedule:
     """Compile an arbitrary target unitary via triangular decomposition."""
     target = assert_unitary(target, tol)

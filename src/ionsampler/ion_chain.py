@@ -19,6 +19,8 @@ import numpy as np
 
 # Largest max(K_ij)/omega_x the weak-hopping model is trusted at.
 VALIDITY_THRESHOLD = 1e-2
+# Force residual the equilibrium solve must reach.
+SOLVER_TOL = 1e-12
 
 __all__ = [
     "ConvergenceError",
@@ -115,7 +117,7 @@ def _force_jacobian(u: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_positions(
-    num_ions: int, tol: float = 1e-12, max_iter: int = 200
+    num_ions: int, tol: float = SOLVER_TOL, max_iter: int = 200
 ) -> np.ndarray:
     """Solve the force-balance equations for a linear chain of ``num_ions``.
 
@@ -157,7 +159,7 @@ def equilibrium_positions(
     )
 
 
-def build_chain(params: TrapParams, tol: float = 1e-12, max_iter: int = 200) -> IonChain:
+def build_chain(params: TrapParams, tol: float = SOLVER_TOL, max_iter: int = 200) -> IonChain:
     """Solve the chain geometry for the given trap parameters."""
     return IonChain(params, equilibrium_positions(params.num_ions, tol, max_iter))
 

@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+# Largest max |U^dag U - I| a matrix may show and still count as unitary.
+UNITARITY_TOL = 1e-10
 
 
-def assert_unitary(matrix, tol: float = 1e-10) -> np.ndarray:
+def assert_unitary(matrix, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Validate ``matrix`` is square and unitary; return it as complex128."""
     u = np.asarray(matrix, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -184,7 +186,7 @@ def recompose(seq: ElementSequence) -> np.ndarray:
     return u
 
 
-def reck_decompose(matrix, tol: float = 1e-10) -> ElementSequence:
+def reck_decompose(matrix, tol: float = UNITARITY_TOL) -> ElementSequence:
     """Factor a unitary into adjacent-pair beam splitters and phases.
 
     Below-diagonal entries are nulled column by column, bottom row upward,
@@ -221,7 +223,7 @@ def reck_decompose(matrix, tol: float = 1e-10) -> ElementSequence:
     return ElementSequence(m, tuple(elements))
 
 
-def unitary_distance(u, v, tol: float = 1e-10) -> float:
+def unitary_distance(u, v, tol: float = UNITARITY_TOL) -> float:
     """Global-phase-invariant distance 1 - |tr(U^dag V)| / M between two
     matrices unitary within ``tol``."""
     a = assert_unitary(u, tol)

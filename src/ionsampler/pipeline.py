@@ -157,9 +157,8 @@ def _target_unitary(cfg: RunConfig) -> np.ndarray:
     # kind == "file": config validation already guaranteed a path
     try:
         with open(cfg.target.path) as fh:
-            data = json.load(fh)
-        u = matrix_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+            u = matrix_from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, PipelineError) as exc:
         raise PipelineError(f"cannot load target matrix {cfg.target.path}: {exc}") from exc
     if u.shape[0] != m:
         raise PipelineError(

@@ -190,6 +190,45 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: sample 0 (1, 1, 0) is not an outcome of 3 bosons in 4 modes")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"dim": 2, "re": [[1.0, "a"], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"dim": "x", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        ],
+        ids=["array", "ragged", "non-numeric", "bad-dim"],
+    )
+    def test_malformed_target_file_is_exit_1(self, tmp_path, capsys, payload):
+        matrix_path = tmp_path / "target.json"
+        matrix_path.write_text(json.dumps(payload))
+        config = write_config(
+            tmp_path,
+            chain={"num_ions": 2},
+            input={"occupations": [1, 0]},
+            target={"kind": "file", "path": str(matrix_path)},
+        )
+        assert run("decompose", config, tmp_path / "out", "--quiet") == 1
+        assert f"cannot load target matrix {matrix_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, extra, field",
+        [
+            ({"target": {"kind": "haar", "seed": -3}}, (), "config.target.seed"),
+            ({"sampling": {"seed": -1}}, (), "config.sampling.seed"),
+            ({"detection": {"seed": -1}}, (), "config.detection.seed"),
+            ({}, ("--seed", "-5"), "--seed"),
+        ],
+        ids=["target", "sampling", "detection", "flag"],
+    )
+    def test_negative_seed_is_exit_1_before_any_stage(self, tmp_path, capsys, overrides, extra, field):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet", *extra) == 1
+        assert f"error: {field}: must be >= 0" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
     def test_validity_rejection(self, tmp_path, capsys):
         config = write_config(tmp_path, trap={"omega_x_hz": 1e6, "omega_z_hz": 0.9e6})
         out = tmp_path / "out"

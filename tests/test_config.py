@@ -1,9 +1,41 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionsampler.config import ConfigError, load_config, parse_config
+from ionsampler.config import (
+    ConfigError,
+    DDSpec,
+    DetectionSpec,
+    SamplingSpec,
+    Tolerances,
+    load_config,
+    parse_config,
+)
+
+OPTIONAL_SECTIONS = {
+    "dd": DDSpec,
+    "sampling": SamplingSpec,
+    "detection": DetectionSpec,
+    "tolerances": Tolerances,
+}
+# A value just below each field's minimum, for the fields that have one.
+BELOW_MINIMUM = {
+    ("dd", "n_sub"): 0,
+    ("sampling", "num_samples"): 0,
+    ("sampling", "seed"): -1,
+    ("detection", "max_repetitions"): 0,
+    ("detection", "seed"): -1,
+    ("tolerances", "solver"): -1e-3,
+    ("tolerances", "unitarity"): -1e-3,
+    ("tolerances", "normalization"): -1e-3,
+}
+OPTIONAL_FIELDS = [
+    (section, field) for section, cls in OPTIONAL_SECTIONS.items() for field in fields(cls)
+]
 
 
 def minimal_config() -> dict:
@@ -146,3 +178,43 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(json.dumps(minimal_config()))
     cfg = load_config(path)
     assert cfg.target.kind == "identity"
+
+
+def _rejected_values():
+    for section, field in OPTIONAL_FIELDS:
+        wrong_type = 1 if isinstance(field.default, str) else "1"
+        values = {"type": wrong_type, "bool": True, "nan": float("nan")}
+        if (section, field.name) in BELOW_MINIMUM:
+            values["below-minimum"] = BELOW_MINIMUM[section, field.name]
+        for case, value in values.items():
+            yield pytest.param(section, field.name, value, id=f"{section}.{field.name}-{case}")
+
+
+@pytest.mark.parametrize("section, name, value", _rejected_values())
+def test_optional_field_rejection_names_the_field(section, name, value):
+    data = minimal_config()
+    data[section] = {name: value}
+    with pytest.raises(ConfigError, match=rf"^config\.{section}\.{name}: "):
+        parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "section, field", OPTIONAL_FIELDS, ids=[f"{s}.{f.name}" for s, f in OPTIONAL_FIELDS]
+)
+def test_optional_field_absent_takes_the_dataclass_default(section, field):
+    data = minimal_config()
+    data[section] = {}
+    assert getattr(getattr(parse_config(data), section), field.name) == field.default
+    del data[section]
+    assert getattr(getattr(parse_config(data), section), field.name) == field.default
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"### Config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(json.loads(example))
+    assert cfg.num_ions == 4
+    assert cfg.target.kind == "fourier"
+    assert cfg.dd.n_sub == 64
+    assert cfg.sampling.num_samples == 20000
+    assert cfg.detection.seed == 7
