@@ -8,8 +8,10 @@ and columns follow inputs, so for a single boson the formula reduces to
 
 Two independent routes compute each distribution: the permanent route
 (Ryser's inclusion-exclusion over column subsets, in one batched pass
-over all outcomes, since every A of one input has the same columns) and
-a brute-force many-body route (`fock_oracle_distribution`) that lifts
+over all outcomes, since every A of one input has the same columns;
+outcomes next to each other in the canonical order share their first
+rows, and with them the products of those rows' subset sums) and a
+brute-force many-body route (`fock_oracle_distribution`) that lifts
 the one-particle unitary to the full bosonic Fock space and evolves the
 input state.  They share nothing but the outcome enumeration, which
 makes their agreement a meaningful cross-check.
@@ -21,6 +23,7 @@ import io
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial
 
 import numpy as np
@@ -54,9 +57,10 @@ NORMALIZATION_TOL = 1e-9
 # The guard keeps a call near 350 MB however the states split into modes and
 # bosons; it admits every basis of up to 5e4 states on up to 20 modes.
 FOCK_MAX_ENTRIES = 3_500_000
-# Outcome tuples and their JSON rows cost about 0.65 kB each: the distribution
-# stage peaked at 320 MB RSS at M = 16, N = 8 (490 314 outcomes, 21 s), and the
-# verify stage, which parses that distribution.json, at 470 MB.
+# Outcome tuples and their JSON rows cost about 0.8 kB each: at M = 16, N = 8
+# (490 314 outcomes) the distribution stage alone takes 6-7.5 s and peaks at
+# 404 MB RSS, of which exact_distribution is 2.2 s and 207 MB, and the verify
+# stage, which parses that distribution.json, peaks at 324 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written: the text of one block is
 # joined and written at once, so memory does not grow with the sample count.
@@ -78,6 +82,69 @@ def _column_subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return member, signs
 
 
+def _prefix_levels(rows: np.ndarray, step: int):
+    """The shared row prefixes of the permanents in each chunk of ``step`` rows.
+
+    Level i holds the distinct prefixes of length i + 1 among a chunk's
+    rows: a row starts a new one where it differs from the row before it in
+    one of its first i + 1 entries, or where it starts the chunk, so one pass
+    over the row indices finds every level.  Equal prefixes that are not
+    adjacent are kept twice, which costs time but never correctness.
+
+    Returns four things.  ``parent`` and ``index`` hold, for every prefix,
+    the chunk-local index of its parent on the level before and of its last
+    row among its level's distinct rows.  ``chunks`` holds per chunk its
+    distinct rows (those of each level in increasing order, level after
+    level) and per level the bounds of its prefixes in ``parent`` and
+    ``index``, whether those end in the level's distinct rows in order, and
+    the bounds of those rows.  ``full`` is the chunk-local index of each
+    row's full prefix.
+    """
+    count, n = rows.shape
+    # A chunk of one row shares nothing: each level has one prefix, so nothing
+    # is gathered.  Its levels are built here without the fixed cost of the
+    # pass below, a tenth of an n = 15 permanent.
+    if step == 1:
+        levels = [(0, 1, True, i, i + 1) for i in range(n)]
+        return None, None, [(row, levels) for row in rows], np.zeros(count, dtype=np.intp)
+    starts = np.zeros((-(-count // step) * step, n + 1), dtype=bool)  # column 0: empty prefix
+    np.not_equal(rows[1:], rows[:-1], out=starts[1:count, 1:])
+    starts[::step, 0] = True
+    starts = np.logical_or.accumulate(starts, axis=1).reshape(-1, step, n + 1)
+    ids = np.cumsum(starts, axis=1, dtype=np.int32).reshape(-1, n + 1) - 1
+    # every prefix, grouped by chunk and then level, in row order in a group
+    chunk, level, pos = np.nonzero(starts[:, :, 1:].transpose(0, 2, 1))
+    group = chunk * n + level
+    first_row = chunk * step + pos
+    parent, key = ids[first_row, level], rows[first_row, level]
+    # the distinct last rows of each group, marked in a (group, row) table of
+    # chunks x n x M entries: at most 1.1e6 (10 MB with its ranks) for any
+    # distribution under the outcome guard, at N = 13 in M = 10 modes
+    width = int(rows.max(initial=0)) + 1
+    key += group * width
+    seen = np.zeros(len(starts) * n * width, dtype=bool)
+    seen[key] = True
+    rank = np.cumsum(seen)
+    row_bounds = np.concatenate(([0], rank[width - 1::width]))
+    index = rank[key] - 1 - row_bounds[group]
+    # a group's last rows are its distinct rows in order where they increase
+    in_order = (np.bincount(group[1:], np.diff(key) <= 0, len(row_bounds)) == 0).tolist()
+    distinct = np.flatnonzero(seen) % width
+    prefix_bounds = np.searchsorted(group, np.arange(len(row_bounds))).tolist()
+    row_bounds = row_bounds.tolist()
+
+    chunks = []  # bounds as plain integers: a view per level held 0.7 MB more at n = 8
+    for c in range(len(starts)):
+        g, base = c * n, row_bounds[c * n]
+        levels = [
+            (prefix_bounds[k], prefix_bounds[k + 1], in_order[k],
+             row_bounds[k] - base, row_bounds[k + 1] - base)
+            for k in range(g, g + n)
+        ]
+        chunks.append((distinct[base:row_bounds[g + n]], levels))
+    return parent, index, chunks, ids[:count, n]
+
+
 def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Permanents of the n x n matrices cols[rows[b]], by Ryser's formula.
 
@@ -86,7 +153,13 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     its row sums add the two halves' row sums.  Those are taken once for every
     row of ``cols`` by one 0/1 matrix product per half, and each permanent
     gathers its n rows from them (a repeated row index is a repeated row).
-    The products are chunked over permanents and high-half subsets, at most
+    Consecutive permanents that share their first rows share the product of
+    those rows' sums: level by level, each distinct prefix (`_prefix_levels`)
+    takes its parent's product times its last row's sums, which are added
+    once per distinct row of the level, and the finished products are summed
+    once and gathered back to the permanents.  In the canonical outcome order
+    neighbours share long prefixes; any order gives the same values.  The
+    products are chunked over permanents and high-half subsets, at most
     RYSER_CHUNK_ELEMENTS complex entries per array.
     """
     n = cols.shape[1]
@@ -99,18 +172,35 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     sums_hi = cols[:, low:] @ member_hi
     step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS >> low))
     step = max(1, RYSER_CHUNK_ELEMENTS // (step_hi << low))
+    parent, index, chunks, full = _prefix_levels(rows, step)  # its peak before the buffers
+    # the products, a spare for gathering them (which holds a level's row
+    # sums gathered to its prefixes once the products are gathered) and the
+    # level's row sums, reused throughout: a fresh array per level would cost
+    # more than its arithmetic.  They are allocated apart: as slices of one
+    # block they lie a multiple of 4 kB apart, which made n = 20 up to 10%
+    # slower.  Gathers pass mode="clip" because their indices are in range
+    # and the default mode would buffer the copy.
+    shape = (min(step, len(rows)), step_hi, 1 << low)
+    prods, spare, table = (np.empty(shape, dtype=np.complex128) for _ in range(3))
     total = np.zeros(len(rows), dtype=np.complex128)
-    for first in range(0, len(rows), step):
-        chunk = rows[first:first + step]
-        lo = sums_lo[chunk][:, :, None, :]
+    for first, (distinct, levels) in zip(range(0, len(rows), step), chunks):
+        lo = sums_lo[distinct, None, :]
         for start in range(0, sums_hi.shape[1], step_hi):
-            hi = sums_hi[chunk, start:start + step_hi, None]
-            terms = np.ones((len(chunk), hi.shape[2], lo.shape[3]), dtype=np.complex128)
-            row_sums = np.empty_like(terms)
-            for i in range(n):
-                np.add(hi[:, i], lo[:, i], out=row_sums)
+            hi = sums_hi[distinct, start:start + step_hi, None]
+            terms = prods[:1]
+            terms.fill(1)
+            for p0, p1, in_order, a, b in levels:
+                if p1 - p0 > len(terms):  # else every prefix has one child
+                    terms = np.take(terms, parent[p0:p1], axis=0, out=spare[:p1 - p0], mode="clip")
+                    prods, spare = spare, prods
+                row_sums = np.add(hi[a:b], lo[a:b], out=table[:b - a])
+                if not in_order:
+                    row_sums = np.take(
+                        row_sums, index[p0:p1], axis=0, out=spare[:p1 - p0], mode="clip"
+                    )
                 terms *= row_sums
-            total[first:first + step] += (terms @ sign_lo) @ sign_hi[start:start + step_hi]
+            sums = (terms @ sign_lo) @ sign_hi[start:start + step_hi]
+            total[first:first + step] += sums[full[first:first + step]]
     return -total if n & 1 else total
 
 
@@ -134,6 +224,16 @@ def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
     return occ
 
 
+def _outcome_array(outcomes, num_modes: int) -> np.ndarray:
+    """The (outcomes, M) integer array of a sequence of outcome tuples.
+
+    One flat pass over the entries takes about half the time of np.array,
+    which inspects every tuple.  Every tuple must have M entries.
+    """
+    flat = np.fromiter(chain.from_iterable(outcomes), np.intp, len(outcomes) * num_modes)
+    return flat.reshape(len(outcomes), num_modes)
+
+
 def _probabilities(u: np.ndarray, outcomes, t: tuple[int, ...]) -> np.ndarray:
     """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, by batched Ryser.
 
@@ -147,7 +247,7 @@ def _probabilities(u: np.ndarray, outcomes, t: tuple[int, ...]) -> np.ndarray:
     factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
     probs = np.empty(len(outcomes))
     for first in range(0, len(outcomes), RYSER_CHUNK_ELEMENTS):
-        occ = np.array(outcomes[first:first + RYSER_CHUNK_ELEMENTS], dtype=np.intp)
+        occ = _outcome_array(outcomes[first:first + RYSER_CHUNK_ELEMENTS], m)
         rows = np.repeat(np.tile(np.arange(m), len(occ)), occ.ravel()).reshape(len(occ), n)
         norms = factorials[occ].prod(axis=1) * factorials[list(t)].prod()
         probs[first:first + len(occ)] = np.abs(_ryser_sums(cols, rows)) ** 2 / norms
@@ -403,7 +503,7 @@ def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.nda
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(num_samples), side="right")
-    table = np.array(dist.outcomes, dtype=int)
+    table = _outcome_array(dist.outcomes, dist.num_modes)
     return table[np.minimum(idx, len(table) - 1)]
 
 
@@ -429,9 +529,15 @@ def distribution_to_json(dist: OutcomeDistribution) -> dict:
 
 
 def distribution_from_json(data: dict) -> OutcomeDistribution:
+    """Inverse of :func:`distribution_to_json`; an outcome of the wrong
+    length raises ValueError naming it."""
+    m = int(data["m"])
     outcomes = tuple(tuple(int(x) for x in row["s"]) for row in data["outcomes"])
+    for k, s in enumerate(outcomes):
+        if len(s) != m:
+            raise ValueError(f"outcome {k} {s} does not have {m} modes")
     probs = np.array([row["p"] for row in data["outcomes"]], dtype=float)
-    return OutcomeDistribution(int(data["m"]), int(data["n"]), data["provenance"], outcomes, probs)
+    return OutcomeDistribution(m, int(data["n"]), data["provenance"], outcomes, probs)
 
 
 def samples_to_csv(samples, fh) -> None:

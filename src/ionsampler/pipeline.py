@@ -126,9 +126,14 @@ def _artifact(outdir: Path, *names: str) -> Path:
     raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
 
 
-def _read_json(outdir: Path, name: str) -> dict:
+def _read_json(outdir: Path, name: str, parse):
+    """``parse`` applied to the JSON artifact ``name``; an artifact that does
+    not decode or parse raises PipelineError naming it."""
     with open(_artifact(outdir, name)) as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, PipelineError) as exc:
+            raise PipelineError(f"cannot read {name}: {exc}") from exc
 
 
 def run_positions(cfg: RunConfig, outdir: Path) -> None:
@@ -140,8 +145,10 @@ def run_positions(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_couplings(cfg: RunConfig, outdir: Path) -> None:
-    data = _read_json(outdir, "positions.json")
-    chain = IonChain(cfg.trap, np.asarray(data["positions"], dtype=float))
+    positions = _read_json(
+        outdir, "positions.json", lambda d: np.asarray(d["positions"], dtype=float)
+    )
+    chain = IonChain(cfg.trap, positions)
     _write_json(outdir / "couplings.json", ion_chain.to_json(chain, coupling_matrix(chain)))
 
 
@@ -179,23 +186,24 @@ def run_decompose(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_compile(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = ion_chain.from_json(_read_json(outdir, "couplings.json"))
-    el_data = _read_json(outdir, "elements.json")
-    seq = ElementSequence.from_json(int(el_data["dim"]), el_data["elements"])
+    _, coupling = _read_json(outdir, "couplings.json", ion_chain.from_json)
+    seq = _read_json(
+        outdir, "elements.json", lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"])
+    )
     schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
     _write_json(outdir / "schedule.json", schedule.to_json())
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = ion_chain.from_json(_read_json(outdir, "couplings.json"))
-    schedule = PulseSchedule.from_json(_read_json(outdir, "schedule.json"))
+    _, coupling = _read_json(outdir, "couplings.json", ion_chain.from_json)
+    schedule = _read_json(outdir, "schedule.json", PulseSchedule.from_json)
     u = simulate_schedule(coupling, schedule)
     _write_json(outdir / "simulated_unitary.json", matrix_to_json(u))
 
 
 def run_distribution(cfg: RunConfig, outdir: Path) -> None:
     name = _artifact(outdir, *SOURCES).name
-    u = matrix_from_json(_read_json(outdir, name))
+    u = _read_json(outdir, name, matrix_from_json)
     dist = exact_distribution(
         u, cfg.occupations, norm_tol=cfg.tolerances.normalization,
         unit_tol=cfg.tolerances.unitarity,
@@ -206,7 +214,7 @@ def run_distribution(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_sample(cfg: RunConfig, outdir: Path) -> None:
-    dist = distribution_from_json(_read_json(outdir, "distribution.json"))
+    dist = _read_json(outdir, "distribution.json", distribution_from_json)
     samples = sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed)
     with _atomic_open(outdir / "samples.csv") as fh:
         samples_to_csv(samples, fh)
@@ -236,7 +244,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     report: dict = {}
 
     unitaries = {
-        source: matrix_from_json(_read_json(outdir, name))
+        source: _read_json(outdir, name, matrix_from_json)
         for name, source in SOURCES.items()
         if (outdir / name).exists()
     }
@@ -252,8 +260,9 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
 
     dist = None
     if (outdir / "distribution.json").exists():
-        dist_data = _read_json(outdir, "distribution.json")
-        dist = distribution_from_json(dist_data)
+        dist, source_name = _read_json(
+            outdir, "distribution.json", lambda d: (distribution_from_json(d), d.get("source"))
+        )
         residual = abs(dist.total - 1.0)
         report["normalization_residual"] = residual
         if residual > tols.normalization:
@@ -261,7 +270,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
                 f"distribution normalization residual {residual:.3e} exceeds "
                 f"tolerance {tols.normalization:.1e}"
             )
-        source = unitaries.get(dist_data.get("source"))
+        source = unitaries.get(source_name)
         if source is None:
             reason = "the unitary the distribution was computed from is missing"
         else:

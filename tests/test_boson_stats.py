@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import tracemalloc
 from collections import Counter
@@ -98,6 +99,31 @@ class TestPermanents:
         ]
         expected = np.prod([oracles.permanent_reference(b) for b in blocks])
         got = permanent_ryser(scipy.linalg.block_diag(*blocks))
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    # Every row-index tuple of 4 rows out of 6, in lexicographic order: the
+    # kernel's chunk of 1024 permanents at n = 4 ends between (4,4,2,3) and
+    # (4,4,2,4), so a shared prefix straddles the seam.  Shuffled, reversed
+    # and repeated rows show that sharing never relies on that order.
+    ROW_ORDERS = {
+        "lexicographic": lambda rows, rng: rows,
+        "shuffled": lambda rows, rng: rows[rng.permutation(len(rows))],
+        "reversed": lambda rows, rng: rows[::-1],
+        "repeated": lambda rows, rng: np.repeat(rows[rng.choice(len(rows), 300)], 4, axis=0),
+    }
+
+    @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
+    def test_batched_rows_match_reference(self, order):
+        rng = np.random.default_rng(11)
+        cols = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        lexicographic = np.array(list(itertools.product(range(6), repeat=4)))
+        assert tuple(lexicographic[RYSER_CHUNK_ELEMENTS // 16 - 1]) == (4, 4, 2, 3)
+        rows = self.ROW_ORDERS[order](lexicographic, rng)
+        reference = {
+            tuple(r): oracles.permanent_reference(cols[list(r)]) for r in lexicographic
+        }
+        got = boson_stats._ryser_sums(cols, rows)
+        expected = np.array([reference[tuple(r)] for r in rows.tolist()])
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_guards(self):

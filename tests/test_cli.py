@@ -48,6 +48,14 @@ def run(stage, config, outdir, *extra):
     return main([stage, "--config", str(config), "--output", str(outdir), *extra])
 
 
+def ragged_outcomes(dist):
+    """``dist`` with a mode moved from its first outcome to its second: the
+    entry count is unchanged, so only a per-row check sees it."""
+    rows = dist["outcomes"]
+    rows[0]["s"], rows[1]["s"] = rows[0]["s"][:-1], rows[1]["s"] + [0]
+    return dist
+
+
 class TestFullRuns:
     def test_identity_pipeline(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -211,6 +219,33 @@ class TestFailureModes:
         )
         assert run("decompose", config, tmp_path / "out", "--quiet") == 1
         assert f"cannot load target matrix {matrix_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "artifact, stage, corrupt",
+        [
+            ("target_unitary.json", "distribution", lambda data: json.dumps(data)[:100]),
+            ("target_unitary.json", "distribution", lambda data: "[1]"),
+            ("target_unitary.json", "distribution", lambda data: json.dumps(
+                {k: v for k, v in data.items() if k != "im"})),
+            ("distribution.json", "sample", lambda data: json.dumps(ragged_outcomes(data))),
+        ],
+        ids=["truncated", "array", "no-im", "ragged-outcomes"],
+    )
+    def test_malformed_artifact_is_exit_1(self, tmp_path, capsys, artifact, stage, corrupt):
+        config = write_config(
+            tmp_path,
+            chain={"num_ions": 2},
+            input={"occupations": [1, 0]},
+            target={"kind": "fourier"},
+        )
+        out = tmp_path / "out"
+        for producer in ("decompose", "distribution"):
+            assert run(producer, config, out, "--quiet") == 0
+        path = out / artifact
+        path.write_text(corrupt(json.loads(path.read_text())))
+        capsys.readouterr()
+        assert run(stage, config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {artifact}: ")
 
     @pytest.mark.parametrize(
         "overrides, extra, field",
