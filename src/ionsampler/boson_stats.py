@@ -39,6 +39,7 @@ __all__ = [
     "fock_generator_entries",
     "fock_oracle_refusal",
     "fock_oracle_distribution",
+    "check_samples",
     "empirical_distribution",
     "sample_outcomes",
     "total_variation_distance",
@@ -440,9 +441,9 @@ def fock_oracle_distribution(
     return _distribution_from_probs(basis, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D integer array, in lexicographic order, with the
-    index of each row's distinct row and the count of each distinct row.
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D integer array, in lexicographic order, and the
+    count of each.
 
     One sort on the columns groups equal rows; a row is never packed into one
     integer key, which would overflow int64 at M = 32, N = 16.
@@ -451,35 +452,35 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
-    return ordered[starts], inverse, np.diff(np.append(starts, len(rows)))
+    return ordered[starts], np.diff(np.append(starts, len(rows)))
 
 
-def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
-    """Relative frequencies of ``samples`` over the canonical outcome order.
-
-    A sample that is not an outcome of N bosons in M modes (wrong length,
-    a negative entry or another total) raises ValueError naming it.
-    """
+def check_samples(samples, num_modes: int, num_bosons: int) -> np.ndarray:
+    """``samples`` as an integer array.  No rows, or a sample that is not an outcome
+    of N bosons in M modes (wrong length, a negative entry or another total),
+    raises ValueError naming the first such sample."""
     samples = np.asarray(samples, dtype=np.int64)
     if not samples.size:
         raise ValueError("no samples")
     if samples.ndim != 2:
         raise ValueError(f"samples must be rows of occupations, got shape {samples.shape}")
-    distinct, inverse, counts = _group_rows(samples)
-    foreign = (
-        (samples.shape[1] != num_modes)
-        | (distinct < 0).any(axis=1)
-        | (distinct.sum(axis=1) != num_bosons)
-    )
+    foreign = (samples < 0).any(axis=1) | (samples.sum(axis=1) != num_bosons)
+    foreign |= samples.shape[1] != num_modes
     if foreign.any():
-        row = int(np.argmax(foreign[inverse]))
+        row = int(np.argmax(foreign))
         raise ValueError(
             f"sample {row} {tuple(samples[row].tolist())} is not an outcome of "
             f"{num_bosons} bosons in {num_modes} modes"
         )
+    return samples
+
+
+def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
+    """Relative frequencies of ``samples`` over the canonical outcome order;
+    samples are checked by :func:`check_samples`."""
+    samples = check_samples(samples, num_modes, num_bosons)
+    distinct, counts = _group_rows(samples)
     outcomes = enumerate_outcomes(num_modes, num_bosons)
     index = {s: k for k, s in enumerate(outcomes)}
     probs = np.zeros(len(outcomes))
@@ -543,14 +544,19 @@ def distribution_from_json(data: dict) -> OutcomeDistribution:
 def samples_to_csv(samples, fh) -> None:
     """One comma-separated occupation vector per line, no header.
 
-    Each distinct row is formatted once and the lines are written a block
-    of CSV_BLOCK_LINES at a time.
+    The lines are written a block of CSV_BLOCK_LINES at a time.  In a
+    block, every field is looked up in a table of the ``v,`` and ``v\n``
+    strings of each value from the block's least entry to its largest.
     """
     samples = np.asarray(samples, dtype=np.int64)
     for first in range(0, len(samples), CSV_BLOCK_LINES):
-        distinct, inverse, _ = _group_rows(samples[first:first + CSV_BLOCK_LINES])
-        text = np.array([",".join(map(str, row)) + "\n" for row in distinct.tolist()], dtype=object)
-        fh.write("".join(text[inverse].tolist()))
+        block = samples[first:first + CSV_BLOCK_LINES]
+        low = int(block.min())
+        values = range(low, int(block.max()) + 1)
+        fields = np.array([[f"{v}," for v in values], [f"{v}\n" for v in values]], dtype=object)
+        pieces = fields[0][block - low]
+        pieces[:, -1:] = fields[1][block[:, -1:] - low]
+        fh.write("".join(pieces.ravel().tolist()))
 
 
 def samples_from_csv(fh) -> np.ndarray:

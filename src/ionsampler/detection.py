@@ -12,10 +12,11 @@ number-resolving detector.
 
 Preparation noise is a symmetric +/-1 phonon leak of total weight eps
 around the target number.  The kernels take a whole array of modes and
-one generator: the preparation noise is one uniform per mode, then the
-readout runs round by round with one uniform for each mode still dark.
-A single mode therefore consumes the same draws as a scalar loop, and a
-seeded run reproduces bit-for-bit.
+one generator, and each step is one array pass: the preparation noise is
+one uniform per mode, compared with the two cumulative weights of the
+leak, then the readout runs round by round with one uniform for each
+mode still dark.  A single mode therefore consumes the same draws as a
+scalar loop, and a seeded run reproduces bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boson_stats import CSV_BLOCK_LINES, _group_rows
+from .boson_stats import CSV_BLOCK_LINES
 
 __all__ = [
     "DetectionParams",
@@ -92,18 +93,16 @@ def prepare_mode_distribution(n_target: int, eps: float) -> dict[int, float]:
 
 
 def prepare_occupations(n_target, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw each entry of ``n_target`` from :func:`prepare_mode_distribution`,
-    by one uniform per entry (C order) against the cumulative weights."""
+    """Draw each entry of ``n_target`` from :func:`prepare_mode_distribution`.
+
+    One uniform u per entry (C order) is compared with the cumulative
+    weights of that distribution: an entry moves down one phonon when
+    u < eps/2 (not below 0) and up one when u >= (1 - eps) + eps/2.
+    """
     n_target = np.asarray(n_target, dtype=np.int64)
+    prepare_mode_distribution(int(n_target.min(initial=0)), eps)  # checks the target and eps
     u = rng.random(n_target.shape)
-    prepared = np.empty_like(n_target)
-    for n in np.unique(n_target):
-        dist = prepare_mode_distribution(int(n), eps)
-        where = n_target == n
-        # the first cumulative weight above u picks; rounding past the last takes the last
-        pick = np.searchsorted(np.cumsum(list(dist.values())), u[where], side="right")
-        prepared[where] = np.array(list(dist))[np.minimum(pick, len(dist) - 1)]
-    return prepared
+    return n_target - ((u < eps / 2.0) & (n_target > 0)) + (u >= (1.0 - eps) + eps / 2.0)
 
 
 def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> np.ndarray:
@@ -153,25 +152,32 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
 
     One line per trial and mode, trials in order and modes numbered from 1;
     repetitions equal reported_n, and overflow is reported_n reaching
-    ``max_repetitions``.  Each distinct ``mode,true_n,...`` tail and each
-    ``trial,`` head is formatted once, and the lines are written a block of
-    about CSV_BLOCK_LINES at a time.
+    ``max_repetitions``.  The lines are written a block of about
+    CSV_BLOCK_LINES at a time.  A block looks up each ``mode,true_n,...``
+    tail by an integer key of the mode and of true_n and reported_n less
+    their least values in the block, so the key table follows the spread of
+    the values, not their size.  Each key that occurs and each ``trial,``
+    head is formatted once.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     reported = np.asarray(reported, dtype=np.int64)
     trials, modes = true_n.shape
     fh.write(CSV_HEADER + "\n")
     step = max(1, CSV_BLOCK_LINES // max(modes, 1))
-    mode = np.broadcast_to(np.arange(1, modes + 1), (step, modes))
     for first in range(0, trials, step):
         last = min(first + step, trials)
-        rows = np.stack([mode[:last - first], true_n[first:last], reported[first:last]], axis=-1)
-        distinct, inverse, _ = _group_rows(rows.reshape(-1, 3))
-        tails = np.array(
-            [f"{m},{n},{r},{r},{int(r == max_repetitions)}\n" for m, n, r in distinct.tolist()],
-            dtype=object,
-        )
+        n, r = true_n[first:last], reported[first:last]
+        n0, r0 = int(n.min()), int(r.min())
+        dims = (modes, int(n.max()) - n0 + 1, int(r.max()) - r0 + 1)
+        key = ((np.arange(modes) * dims[1] + n - n0) * dims[2] + r - r0).ravel()
+        occurring = np.flatnonzero(np.bincount(key))
+        mode, n_off, r_off = np.unravel_index(occurring, dims)
+        tails = np.empty(np.prod(dims), dtype=object)
+        tails[occurring] = [
+            f"{m + 1},{a + n0},{b},{b},{int(b == max_repetitions)}\n"
+            for m, a, b in zip(mode.tolist(), n_off.tolist(), (r_off + r0).tolist())
+        ]
         pieces = np.empty((last - first, modes, 2), dtype=object)
         pieces[:, :, 0] = np.array([f"{t}," for t in range(first, last)], dtype=object)[:, None]
-        pieces[:, :, 1] = tails[inverse].reshape(-1, modes)
+        pieces[:, :, 1] = tails[key].reshape(-1, modes)
         fh.write("".join(pieces.ravel().tolist()))

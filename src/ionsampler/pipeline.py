@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ion_chain
 from .boson_stats import (
+    check_samples,
     distribution_from_json,
     distribution_to_json,
     empirical_distribution,
@@ -126,12 +127,12 @@ def _artifact(outdir: Path, *names: str) -> Path:
     raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
 
 
-def _read_json(outdir: Path, name: str, parse):
-    """``parse`` applied to the JSON artifact ``name``; an artifact that does
-    not decode or parse raises PipelineError naming it."""
+def _read_artifact(outdir: Path, name: str, parse, load=json.load):
+    """``parse`` applied to what ``load`` reads from the artifact ``name``;
+    an artifact that does not load or parse raises PipelineError naming it."""
     with open(_artifact(outdir, name)) as fh:
         try:
-            return parse(json.load(fh))
+            return parse(load(fh))
         except (ValueError, KeyError, TypeError, PipelineError) as exc:
             raise PipelineError(f"cannot read {name}: {exc}") from exc
 
@@ -145,7 +146,7 @@ def run_positions(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_couplings(cfg: RunConfig, outdir: Path) -> None:
-    positions = _read_json(
+    positions = _read_artifact(
         outdir, "positions.json", lambda d: np.asarray(d["positions"], dtype=float)
     )
     chain = IonChain(cfg.trap, positions)
@@ -186,8 +187,8 @@ def run_decompose(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_compile(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = _read_json(outdir, "couplings.json", ion_chain.from_json)
-    seq = _read_json(
+    _, coupling = _read_artifact(outdir, "couplings.json", ion_chain.from_json)
+    seq = _read_artifact(
         outdir, "elements.json", lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"])
     )
     schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
@@ -195,15 +196,15 @@ def run_compile(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = _read_json(outdir, "couplings.json", ion_chain.from_json)
-    schedule = _read_json(outdir, "schedule.json", PulseSchedule.from_json)
+    _, coupling = _read_artifact(outdir, "couplings.json", ion_chain.from_json)
+    schedule = _read_artifact(outdir, "schedule.json", PulseSchedule.from_json)
     u = simulate_schedule(coupling, schedule)
     _write_json(outdir / "simulated_unitary.json", matrix_to_json(u))
 
 
 def run_distribution(cfg: RunConfig, outdir: Path) -> None:
     name = _artifact(outdir, *SOURCES).name
-    u = _read_json(outdir, name, matrix_from_json)
+    u = _read_artifact(outdir, name, matrix_from_json)
     dist = exact_distribution(
         u, cfg.occupations, norm_tol=cfg.tolerances.normalization,
         unit_tol=cfg.tolerances.unitarity,
@@ -214,15 +215,15 @@ def run_distribution(cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_sample(cfg: RunConfig, outdir: Path) -> None:
-    dist = _read_json(outdir, "distribution.json", distribution_from_json)
+    dist = _read_artifact(outdir, "distribution.json", distribution_from_json)
     samples = sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed)
     with _atomic_open(outdir / "samples.csv") as fh:
         samples_to_csv(samples, fh)
 
 
 def run_detect(cfg: RunConfig, outdir: Path) -> None:
-    with open(_artifact(outdir, "samples.csv")) as fh:
-        samples = samples_from_csv(fh)
+    samples = _read_artifact(outdir, "samples.csv", np.asarray, samples_from_csv)
+    samples = check_samples(samples, cfg.num_ions, sum(cfg.occupations))
     params = cfg.detection
     rng = np.random.default_rng(params.seed)
     # The detector sees the state after imperfect re-preparation,
@@ -244,7 +245,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     report: dict = {}
 
     unitaries = {
-        source: _read_json(outdir, name, matrix_from_json)
+        source: _read_artifact(outdir, name, matrix_from_json)
         for name, source in SOURCES.items()
         if (outdir / name).exists()
     }
@@ -260,7 +261,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
 
     dist = None
     if (outdir / "distribution.json").exists():
-        dist, source_name = _read_json(
+        dist, source_name = _read_artifact(
             outdir, "distribution.json", lambda d: (distribution_from_json(d), d.get("source"))
         )
         residual = abs(dist.total - 1.0)
@@ -284,8 +285,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
             report["tvd_exact_vs_oracle"] = total_variation_distance(dist, oracle)
 
     if dist is not None and (outdir / "samples.csv").exists():
-        with open(outdir / "samples.csv") as fh:
-            samples = samples_from_csv(fh)
+        samples = _read_artifact(outdir, "samples.csv", np.asarray, samples_from_csv)
         emp = empirical_distribution(samples, dist.num_modes, dist.num_bosons)
         report["tvd_empirical_vs_exact"] = total_variation_distance(emp, dist)
 

@@ -91,3 +91,18 @@ def readouts_csv_text(true_n, reported, max_repetitions: int) -> str:
             n, r = int(true_n[trial][mode]), int(reported[trial][mode])
             lines.append(f"{trial},{mode + 1},{n},{r},{r},{int(r == max_repetitions)}\n")
     return "".join(lines)
+
+
+def prepare_by_search(n_target, dist_of, rng) -> np.ndarray:
+    """Preparation drawn the per-value way: one uniform per entry (C order),
+    then for each distinct target a search of its uniforms in the cumulative
+    weights of ``dist_of(target)`` (a {phonon number: weight} dict)."""
+    n_target = np.asarray(n_target, dtype=np.int64)
+    u = rng.random(n_target.shape)
+    prepared = np.empty_like(n_target)
+    for n in np.unique(n_target):
+        dist = dist_of(int(n))
+        where = n_target == n
+        pick = np.searchsorted(np.cumsum(list(dist.values())), u[where], side="right")
+        prepared[where] = np.array(list(dist))[np.minimum(pick, len(dist) - 1)]
+    return prepared

@@ -199,6 +199,35 @@ class TestFailureModes:
         assert err.startswith("error: sample 0 (1, 1, 0) is not an outcome of 3 bosons in 4 modes")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,0\n0,1,1\n",
+             "error: sample 0 (1, 1, 0) is not an outcome of 3 bosons in 4 modes"),
+            ("", "error: no samples"),
+        ],
+        ids=["width", "empty"],
+    )
+    def test_detect_refuses_foreign_samples(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, chain={"num_ions": 4}, input={"occupations": [1, 1, 1, 0]})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.csv").write_text(text)
+        assert run("detect", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (out / "readouts.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["detect", "verify"])
+    def test_unparsable_samples_name_the_file(self, tmp_path, capsys, stage):
+        config = write_config(tmp_path, chain={"num_ions": 4}, input={"occupations": [1, 1, 1, 0]})
+        out = tmp_path / "out"
+        for producer in ("positions", "decompose", "distribution"):
+            assert run(producer, config, out, "--quiet") == 0
+        (out / "samples.csv").write_text("1,x,2,1\n")
+        capsys.readouterr()
+        assert run(stage, config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: cannot read samples.csv: ")
+
+    @pytest.mark.parametrize(
         "payload",
         [
             [1, 2],

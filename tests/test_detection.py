@@ -91,6 +91,27 @@ class TestPreparation:
         with pytest.raises(ValueError):
             prepare_mode_distribution(1, 1.0)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.01, 0.3, 0.999])
+    @pytest.mark.parametrize("shape", [(5000,), (400, 13), (0,), (0, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_sampler_matches_per_value_search(self, eps, shape, seed):
+        targets = np.random.default_rng(seed + 100).integers(0, 13, size=shape)  # targets 0-12
+        got = prepare_occupations(targets, eps, np.random.default_rng(seed))
+        expected = oracles.prepare_by_search(
+            targets, lambda n: prepare_mode_distribution(n, eps), np.random.default_rng(seed)
+        )
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("targets, eps, message", [
+        ([[1, 0], [-1, 2]], 0.01, "n_target must be >= 0"),
+        ([1, 2], 1.0, r"eps must be in \[0, 1\)"),
+        ([1, 2], -0.1, r"eps must be in \[0, 1\)"),
+    ])
+    def test_sampler_rejects_bad_input(self, targets, eps, message):
+        with pytest.raises(ValueError, match=message):
+            prepare_occupations(targets, eps, np.random.default_rng(0))
+
     def test_sampler_matches_distribution(self):
         rng = np.random.default_rng(17)
         trials = 20_000
@@ -256,6 +277,13 @@ def _readout_cases():
     yield overflow, np.full(overflow.shape, 4), 4  # every readout overflows
     wide = rng.integers(0, 13, size=(40, 40))
     yield wide, wide, 12  # M = 40, entries up to 12
+    past_cap = rng.integers(0, 9, size=(30, 5))
+    yield past_cap, past_cap + 3, 6  # reported above max_repetitions
+    yield np.array([[4, 0, 1, 2]]), np.array([[3, 0, 1, 10]]), 10  # a single trial
+    zero_column = rng.integers(0, 5, size=(25, 3))
+    zero_column[:, 1] = 0
+    yield zero_column, np.minimum(zero_column, 4), 4  # one mode's true_n all zero
+    yield np.array([[-2, 105], [0, -7]]), np.array([[-1, 3], [120, -4]]), 3  # negative and >= 100
 
 
 @pytest.mark.parametrize("true_n, reported, cap", list(_readout_cases()))
