@@ -296,6 +296,22 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
     return tails[-1]
 
 
+def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
+    """Position of each row of a (K, M) array of outcomes of N bosons in the
+    :func:`enumerate_outcomes` order, one pass per mode: with r bosons left for
+    k modes, C(r - s + k - 2, k - 1) outcomes put more than s in the first."""
+    m = outcomes.shape[1]
+    table = np.array(  # [r - s, k - 2]: at most C(N + M - 2, N - 1), below the outcome count
+        [[comb(d + k - 2, k - 1) for k in range(2, m + 1)] for d in range(num_bosons + 1)],
+        dtype=np.int64,
+    ).reshape(num_bosons + 1, m - 1)
+    rank, left = np.zeros(len(outcomes), dtype=np.int64), np.full(len(outcomes), num_bosons)
+    for i in range(m - 1):
+        rank += table[left - outcomes[:, i], m - i - 2]
+        left -= outcomes[:, i]
+    return rank
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities over all occupation vectors with a fixed boson total.
@@ -357,16 +373,14 @@ def _lift_generator(h: np.ndarray, basis: list[tuple[int, ...]]):
     import scipy.sparse
 
     m, n = h.shape[0], sum(basis[0])
-    fewer = {s: k for k, s in enumerate(enumerate_outcomes(m, n - 1))} if n else {}
+    fewer = comb(n + m - 2, n - 1) if n else 0  # states of one boson fewer
     states = np.array(basis)
     k, j = np.nonzero(states)  # a_j acts on state k
     lowered = states[k]
     lowered[np.arange(k.size), j] -= 1
-    rows = j * len(fewer) + np.array([fewer[s] for s in map(tuple, lowered.tolist())], dtype=int)
-    a = scipy.sparse.csr_matrix(
-        (np.sqrt(states[k, j]), (rows, k)), shape=(m * len(fewer), len(basis))
-    )
-    return a.T @ scipy.sparse.kron(h, scipy.sparse.identity(len(fewer))) @ a
+    rows = j * fewer + _outcome_rank(lowered, n - 1)
+    a = scipy.sparse.csr_matrix((np.sqrt(states[k, j]), (rows, k)), shape=(m * fewer, len(basis)))
+    return a.T @ scipy.sparse.kron(h, scipy.sparse.identity(fewer)) @ a
 
 
 def fock_generator_entries(num_modes: int, num_bosons: int) -> int:
@@ -436,24 +450,9 @@ def fock_oracle_distribution(
 
     basis = enumerate_outcomes(m, n)
     start = np.zeros(len(basis), dtype=complex)
-    start[basis.index(t)] = 1.0
+    start[_outcome_rank(np.array([t]), n)[0]] = 1.0
     amps = expm_multiply(-1j * time * _lift_generator(h, basis), start)
     return _distribution_from_probs(basis, "fock_oracle", np.abs(amps) ** 2, norm_tol)
-
-
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D integer array, in lexicographic order, and the
-    count of each.
-
-    One sort on the columns groups equal rows; a row is never packed into one
-    integer key, which would overflow int64 at M = 32, N = 16.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return ordered[starts], np.diff(np.append(starts, len(rows)))
 
 
 def check_samples(samples, num_modes: int, num_bosons: int) -> np.ndarray:
@@ -480,11 +479,8 @@ def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeD
     """Relative frequencies of ``samples`` over the canonical outcome order;
     samples are checked by :func:`check_samples`."""
     samples = check_samples(samples, num_modes, num_bosons)
-    distinct, counts = _group_rows(samples)
     outcomes = enumerate_outcomes(num_modes, num_bosons)
-    index = {s: k for k, s in enumerate(outcomes)}
-    probs = np.zeros(len(outcomes))
-    probs[[index[s] for s in map(tuple, distinct.tolist())]] = counts / len(samples)
+    probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=len(outcomes)) / len(samples)
     return OutcomeDistribution(num_modes, num_bosons, "empirical", tuple(outcomes), probs)
 
 

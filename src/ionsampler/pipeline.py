@@ -2,12 +2,13 @@
 
 Each stage reads the artifacts of its upstream stages from the output
 directory and writes its own, so a full run and a sequence of
-single-stage runs produce identical files.  Requesting a stage whose
-inputs are missing raises :class:`PipelineError`, naming the stage that
-writes them (:data:`PRODUCERS`), rather than silently recomputing the
-upstream work.  Every run that completes also writes ``manifest.json``
-with the wall time of each stage it ran; it is the only file that differs
-between reruns.
+single-stage runs produce identical files; within one run, a stage takes
+what an earlier one wrote from memory (:class:`ArtifactDir`).  Requesting a
+stage whose inputs are missing raises :class:`PipelineError`, naming the
+stage that writes them (:data:`PRODUCERS`), rather than silently
+recomputing the upstream work.  Every run that completes also writes
+``manifest.json`` with the wall time of each stage it ran; it is the only
+file that differs between reruns.
 """
 
 from __future__ import annotations
@@ -57,25 +58,6 @@ __all__ = [
     "run_pipeline",
 ]
 
-# Every artifact of the output directory and the stage that writes it.
-PRODUCERS = {
-    "positions.json": "positions",
-    "couplings.json": "couplings",
-    "target_unitary.json": "decompose",
-    "elements.json": "decompose",
-    "schedule.json": "compile",
-    "simulated_unitary.json": "simulate",
-    "distribution.json": "distribution",
-    "samples.csv": "sample",
-    "readouts.csv": "detect",
-    "verify_report.json": "verify",
-}
-
-# The unitaries a distribution can be computed from, in order of preference
-# (the compiled interferometer over the ideal target), with the source tag
-# that distribution.json records.
-SOURCES = {"simulated_unitary.json": "simulated", "target_unitary.json": "target"}
-
 
 class PipelineError(RuntimeError):
     """A stage could not run: missing upstream artifact or bad input data."""
@@ -98,6 +80,40 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return u
 
 
+# Every artifact of the output directory and the stage that writes it.
+PRODUCERS = {
+    "positions.json": "positions",
+    "couplings.json": "couplings",
+    "target_unitary.json": "decompose",
+    "elements.json": "decompose",
+    "schedule.json": "compile",
+    "simulated_unitary.json": "simulate",
+    "distribution.json": "distribution",
+    "samples.csv": "sample",
+    "readouts.csv": "detect",
+    "verify_report.json": "verify",
+}
+
+# Each artifact a later stage reads: ``parse`` applied to what ``load`` reads.
+# Methods are looked up when called, so wrappers put on them see the calls.
+READERS = {
+    "positions.json": (lambda d: np.asarray(d["positions"], dtype=float), json.load),
+    "couplings.json": (ion_chain.from_json, json.load),
+    "target_unitary.json": (matrix_from_json, json.load),
+    "elements.json": (lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"]),
+                      json.load),
+    "schedule.json": (lambda d: PulseSchedule.from_json(d), json.load),
+    "simulated_unitary.json": (matrix_from_json, json.load),
+    "distribution.json": (lambda d: (distribution_from_json(d), d.get("source")), json.load),
+    "samples.csv": (np.array, samples_from_csv),
+}
+
+# The unitaries a distribution can be computed from, in order of preference
+# (the compiled interferometer over the ideal target), with the source tag
+# that distribution.json records.
+SOURCES = {"simulated_unitary.json": "simulated", "target_unitary.json": "target"}
+
+
 @contextmanager
 def _atomic_open(path: Path):
     """Write to a temporary file beside ``path``, moved onto it only when the
@@ -111,12 +127,6 @@ def _atomic_open(path: Path):
         tmp.unlink(missing_ok=True)  # only still there if the block failed
 
 
-def _write_json(path: Path, data: dict) -> None:
-    # json.dumps encodes in C; json.dump would take the pure-Python encoder
-    with _atomic_open(path) as fh:
-        fh.write(json.dumps(data) + "\n")
-
-
 def _artifact(outdir: Path, *names: str) -> Path:
     """The first of ``names`` present in ``outdir``; if none is, the error
     names the stage that writes each."""
@@ -127,30 +137,56 @@ def _artifact(outdir: Path, *names: str) -> Path:
     raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
 
 
-def _read_artifact(outdir: Path, name: str, parse, load=json.load):
-    """``parse`` applied to what ``load`` reads from the artifact ``name``;
-    an artifact that does not load or parse raises PipelineError naming it."""
-    with open(_artifact(outdir, name)) as fh:
-        try:
-            return parse(load(fh))
-        except (ValueError, KeyError, TypeError, PipelineError) as exc:
-            raise PipelineError(f"cannot read {name}: {exc}") from exc
+class ArtifactDir:
+    """The output directory of one :func:`run_pipeline` call.  What a stage
+    writes or reads there is held for the later stages, parsed once, with its
+    numpy arrays read-only, so a stage that alters its input raises."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._written, self._parsed = {}, {}  # payloads not read yet, parsed values
+
+    def write(self, name: str, payload, dump=lambda p, fh: fh.write(json.dumps(p) + "\n")):
+        """Write ``payload`` to artifact ``name`` by ``dump`` (one line of JSON,
+        which json.dumps encodes in C), and hold it if a stage reads it."""
+        with _atomic_open(self.path / name) as fh:
+            dump(payload, fh)
+        if name in READERS:
+            self._written[name] = payload
+
+    def read(self, name: str, last: bool = False):
+        """The artifact ``name``, held or else read from disk; ``last``, for the
+        last stage that reads it, releases it.  One that does not load or parse
+        raises PipelineError naming it."""
+        if name not in self._parsed:
+            parse, load = READERS[name]
+            if name in self._written:
+                value = parse(self._written.pop(name))
+            else:
+                with open(_artifact(self.path, name)) as fh:
+                    try:
+                        value = parse(load(fh))
+                    except (ValueError, KeyError, TypeError, PipelineError) as exc:
+                        raise PipelineError(f"cannot read {name}: {exc}") from exc
+            for item in value if isinstance(value, tuple) else (value,):
+                for array in (item, *getattr(item, "__dict__", {}).values()):
+                    if isinstance(array, np.ndarray):
+                        array.flags.writeable = False
+            self._parsed[name] = value
+        return self._parsed.pop(name) if last else self._parsed[name]
 
 
-def run_positions(cfg: RunConfig, outdir: Path) -> None:
+def run_positions(cfg: RunConfig, out: ArtifactDir) -> None:
     chain = build_chain(cfg.trap, tol=cfg.tolerances.solver)
-    _write_json(
-        outdir / "positions.json",
+    out.write(
+        "positions.json",
         {"num_ions": cfg.num_ions, "positions": [float(x) for x in chain.positions]},
     )
 
 
-def run_couplings(cfg: RunConfig, outdir: Path) -> None:
-    positions = _read_artifact(
-        outdir, "positions.json", lambda d: np.asarray(d["positions"], dtype=float)
-    )
-    chain = IonChain(cfg.trap, positions)
-    _write_json(outdir / "couplings.json", ion_chain.to_json(chain, coupling_matrix(chain)))
+def run_couplings(cfg: RunConfig, out: ArtifactDir) -> None:
+    chain = IonChain(cfg.trap, out.read("positions.json", last=True))
+    out.write("couplings.json", ion_chain.to_json(chain, coupling_matrix(chain)))
 
 
 def _target_unitary(cfg: RunConfig) -> np.ndarray:
@@ -175,66 +211,61 @@ def _target_unitary(cfg: RunConfig) -> np.ndarray:
     return u
 
 
-def run_decompose(cfg: RunConfig, outdir: Path) -> None:
+def run_decompose(cfg: RunConfig, out: ArtifactDir) -> None:
     target = _target_unitary(cfg)
     try:
         target = assert_unitary(target, cfg.tolerances.unitarity)
     except ValueError as exc:
         raise PipelineError(f"target is not unitary: {exc}") from exc
-    _write_json(outdir / "target_unitary.json", matrix_to_json(target))
+    out.write("target_unitary.json", matrix_to_json(target))
     seq = reck_decompose(target, tol=cfg.tolerances.unitarity)
-    _write_json(outdir / "elements.json", {"dim": seq.dim, "elements": seq.to_json()})
+    out.write("elements.json", {"dim": seq.dim, "elements": seq.to_json()})
 
 
-def run_compile(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = _read_artifact(outdir, "couplings.json", ion_chain.from_json)
-    seq = _read_artifact(
-        outdir, "elements.json", lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"])
-    )
+def run_compile(cfg: RunConfig, out: ArtifactDir) -> None:
+    _, coupling = out.read("couplings.json")
+    seq = out.read("elements.json", last=True)
     schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
-    _write_json(outdir / "schedule.json", schedule.to_json())
+    out.write("schedule.json", schedule.to_json())
 
 
-def run_simulate(cfg: RunConfig, outdir: Path) -> None:
-    _, coupling = _read_artifact(outdir, "couplings.json", ion_chain.from_json)
-    schedule = _read_artifact(outdir, "schedule.json", PulseSchedule.from_json)
-    u = simulate_schedule(coupling, schedule)
-    _write_json(outdir / "simulated_unitary.json", matrix_to_json(u))
+def run_simulate(cfg: RunConfig, out: ArtifactDir) -> None:
+    _, coupling = out.read("couplings.json", last=True)
+    u = simulate_schedule(coupling, out.read("schedule.json", last=True))
+    out.write("simulated_unitary.json", matrix_to_json(u))
 
 
-def run_distribution(cfg: RunConfig, outdir: Path) -> None:
-    name = _artifact(outdir, *SOURCES).name
-    u = _read_artifact(outdir, name, matrix_from_json)
+def run_distribution(cfg: RunConfig, out: ArtifactDir) -> None:
+    name = _artifact(out.path, *SOURCES).name
+    u = out.read(name)
     dist = exact_distribution(
         u, cfg.occupations, norm_tol=cfg.tolerances.normalization,
         unit_tol=cfg.tolerances.unitarity,
     )
     payload = distribution_to_json(dist)
     payload["source"] = SOURCES[name]
-    _write_json(outdir / "distribution.json", payload)
+    out.write("distribution.json", payload)
 
 
-def run_sample(cfg: RunConfig, outdir: Path) -> None:
-    dist = _read_artifact(outdir, "distribution.json", distribution_from_json)
+def run_sample(cfg: RunConfig, out: ArtifactDir) -> None:
+    dist, _ = out.read("distribution.json")
     samples = sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed)
-    with _atomic_open(outdir / "samples.csv") as fh:
-        samples_to_csv(samples, fh)
+    out.write("samples.csv", samples, samples_to_csv)
 
 
-def run_detect(cfg: RunConfig, outdir: Path) -> None:
-    samples = _read_artifact(outdir, "samples.csv", np.asarray, samples_from_csv)
-    samples = check_samples(samples, cfg.num_ions, sum(cfg.occupations))
+def run_detect(cfg: RunConfig, out: ArtifactDir) -> None:
+    samples = check_samples(out.read("samples.csv"), cfg.num_ions, sum(cfg.occupations))
     params = cfg.detection
     rng = np.random.default_rng(params.seed)
     # The detector sees the state after imperfect re-preparation,
     # so true_n in the CSV is the post-preparation phonon number.
     true_n = prepare_occupations(samples, params.prep_error, rng)
     reported = measure_modes(true_n, params, rng)
-    with _atomic_open(outdir / "readouts.csv") as fh:
+    with _atomic_open(out.path / "readouts.csv") as fh:
         readouts_to_csv(true_n, reported, params.max_repetitions, fh)
 
 
-def run_verify(cfg: RunConfig, outdir: Path) -> dict:
+def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
     """Cross-check whatever artifacts exist; enforce configured tolerances.
 
     Only the normalization residual and the unitarity of stored matrices
@@ -244,11 +275,7 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
     tols = cfg.tolerances
     report: dict = {}
 
-    unitaries = {
-        source: _read_artifact(outdir, name, matrix_from_json)
-        for name, source in SOURCES.items()
-        if (outdir / name).exists()
-    }
+    unitaries = {tag: out.read(n) for n, tag in SOURCES.items() if (out.path / n).exists()}
     for source, u in unitaries.items():
         try:
             assert_unitary(u, tols.unitarity)
@@ -260,10 +287,8 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
         )
 
     dist = None
-    if (outdir / "distribution.json").exists():
-        dist, source_name = _read_artifact(
-            outdir, "distribution.json", lambda d: (distribution_from_json(d), d.get("source"))
-        )
+    if (out.path / "distribution.json").exists():
+        dist, source_name = out.read("distribution.json")
         residual = abs(dist.total - 1.0)
         report["normalization_residual"] = residual
         if residual > tols.normalization:
@@ -284,12 +309,11 @@ def run_verify(cfg: RunConfig, outdir: Path) -> dict:
             )
             report["tvd_exact_vs_oracle"] = total_variation_distance(dist, oracle)
 
-    if dist is not None and (outdir / "samples.csv").exists():
-        samples = _read_artifact(outdir, "samples.csv", np.asarray, samples_from_csv)
-        emp = empirical_distribution(samples, dist.num_modes, dist.num_bosons)
+    if dist is not None and (out.path / "samples.csv").exists():
+        emp = empirical_distribution(out.read("samples.csv"), dist.num_modes, dist.num_bosons)
         report["tvd_empirical_vs_exact"] = total_variation_distance(emp, dist)
 
-    _write_json(outdir / "verify_report.json", report)
+    out.write("verify_report.json", report)
     return report
 
 
@@ -317,8 +341,8 @@ def run_pipeline(cfg: RunConfig, stages, outdir, quiet: bool = False) -> dict | 
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise PipelineError(f"unknown stage(s): {', '.join(sorted(unknown))}")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    out = ArtifactDir(Path(outdir))
+    out.path.mkdir(parents=True, exist_ok=True)
 
     timings: dict[str, float] = {}
     result = None
@@ -326,9 +350,9 @@ def run_pipeline(cfg: RunConfig, stages, outdir, quiet: bool = False) -> dict | 
         if name not in stages:
             continue
         t0 = time.perf_counter()
-        result = run(cfg, outdir)
+        result = run(cfg, out)
         timings[name] = time.perf_counter() - t0
         if not quiet:
             print(f"[{name}] done in {timings[name]:.3f} s")
-    _write_json(outdir / "manifest.json", {"timings_s": timings})
+    out.write("manifest.json", {"timings_s": timings})
     return result

@@ -210,6 +210,14 @@ class TestEnumeration:
     def test_single_mode(self):
         assert enumerate_outcomes(1, 5) == [(5,)]
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_rank_is_the_enumeration_order(self, m):
+        for n in range(8):
+            outs = enumerate_outcomes(m, n)
+            shuffled = np.random.default_rng(m * 8 + n).permutation(len(outs))
+            rows = np.array(outs, dtype=np.int64).reshape(len(outs), m)[shuffled]
+            assert boson_stats._outcome_rank(rows, n).tolist() == shuffled.tolist()
+
 
 class TestDistributions:
     def test_identity_point_mass(self):
@@ -378,15 +386,6 @@ class TestSampling:
         expected = [counts[s] / len(samples) for s in dist.outcomes]
         emp = empirical_distribution(samples, 5, 4)
         assert emp.probabilities.tolist() == expected  # bit for bit
-
-    def test_row_grouping_past_an_integer_key(self):
-        # M = 40 with entries up to 12: a base-13 row key would overflow int64
-        rows = np.random.default_rng(5).integers(0, 13, size=(2000, 40))
-        rows = np.concatenate([rows, rows[::3], rows[:1]])  # repeated rows
-        counts = Counter(map(tuple, rows.tolist()))
-        distinct, n = boson_stats._group_rows(rows)
-        assert [tuple(r) for r in distinct.tolist()] == sorted(counts)
-        assert n.tolist() == [counts[r] for r in sorted(counts)]
 
     @pytest.mark.parametrize("row, bad", [
         ((1, 2, 0), "sample 0 (1, 2, 0)"),  # three modes, not four

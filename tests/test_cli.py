@@ -10,7 +10,7 @@ import pytest
 from ionsampler.boson_stats import OUTCOME_MAX_COUNT
 from ionsampler.cli import main
 from ionsampler.linear_optics import haar_unitary
-from ionsampler.pipeline import matrix_to_json
+from ionsampler.pipeline import STAGES, matrix_to_json
 
 ARTIFACTS = [
     "positions.json",
@@ -94,6 +94,22 @@ class TestFullRuns:
             if name == "manifest.json":  # timings are wall-clock
                 continue
             assert (out / name).read_bytes() == first[name], name
+
+    def test_all_equals_one_stage_per_call(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            chain={"num_ions": 4},
+            input={"occupations": [1, 1, 1, 0]},
+            target={"kind": "haar", "seed": 5},
+            detection={"readout_fidelity": 0.9, "prep_error": 0.05, "seed": 6},
+        )
+        assert run("all", config, tmp_path / "all", "--quiet") == 0
+        for stage in STAGES:
+            assert run(stage, config, tmp_path / "staged", "--quiet") == 0
+        for name in ARTIFACTS:
+            if name != "manifest.json":  # timings are wall-clock
+                staged = (tmp_path / "staged" / name).read_bytes()
+                assert (tmp_path / "all" / name).read_bytes() == staged, name
 
     def test_file_target_distribution_falls_back_to_target(self, tmp_path):
         matrix_path = tmp_path / "target.json"

@@ -1,7 +1,9 @@
 """Stage-level checks: the detect stage's statistics, atomic artifact
-writes and the verify stage's record of skipped checks."""
+writes, artifacts held for the later stages of a run and the verify
+stage's record of skipped checks."""
 
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.stats import chisquare
 
 import oracles
 from ionsampler import boson_stats, pipeline
-from ionsampler.boson_stats import samples_to_csv
+from ionsampler.boson_stats import samples_from_csv, samples_to_csv
 from ionsampler.config import parse_config
 from ionsampler.detection import prepare_mode_distribution
 
@@ -36,7 +38,7 @@ def test_detect_stage_matches_preparation_and_readout_pmfs(tmp_path):
     ideal = (2, 1, 0)
     with open(tmp_path / "samples.csv", "w") as fh:
         samples_to_csv(np.tile(ideal, (trials, 1)), fh)
-    pipeline.run_detect(cfg, tmp_path)
+    pipeline.run_detect(cfg, pipeline.ArtifactDir(tmp_path))
 
     lines = (tmp_path / "readouts.csv").read_text().splitlines()
     assert lines[0] == "trial,mode,true_n,reported_n,repetitions,overflow_flag"
@@ -68,37 +70,110 @@ def test_detect_reruns_are_byte_identical(tmp_path):
     cfg = make_config()
     with open(tmp_path / "samples.csv", "w") as fh:
         samples_to_csv(np.tile((2, 1, 0), (50, 1)), fh)
-    pipeline.run_detect(cfg, tmp_path)
+    pipeline.run_detect(cfg, pipeline.ArtifactDir(tmp_path))
     first = (tmp_path / "readouts.csv").read_bytes()
-    pipeline.run_detect(cfg, tmp_path)
+    pipeline.run_detect(cfg, pipeline.ArtifactDir(tmp_path))
     assert (tmp_path / "readouts.csv").read_bytes() == first
+
+
+def failing_writer(samples, fh):
+    fh.write("2,1,0\n")
+    raise OSError("disk full")
 
 
 class TestAtomicWrites:
     def test_failed_json_write_keeps_old_artifact(self, tmp_path):
-        path = tmp_path / "positions.json"
-        pipeline._write_json(path, {"positions": [0.0]})
+        path, out = tmp_path / "positions.json", pipeline.ArtifactDir(tmp_path)
+        out.write("positions.json", {"positions": [0.0]})
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            pipeline._write_json(path, {"positions": [1.0, 2.0], "bad": object()})
+            out.write("positions.json", {"positions": [1.0, 2.0], "bad": object()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["positions.json"]
 
     def test_failed_csv_write_leaves_nothing(self, tmp_path, monkeypatch):
         cfg = make_config()
-        pipeline.run_positions(cfg, tmp_path)
-        pipeline.run_decompose(cfg, tmp_path)
-        pipeline.run_distribution(cfg, tmp_path)
+        out = pipeline.ArtifactDir(tmp_path)
+        pipeline.run_positions(cfg, out)
+        pipeline.run_decompose(cfg, out)
+        pipeline.run_distribution(cfg, out)
         before = sorted(p.name for p in tmp_path.iterdir())
-
-        def failing_writer(samples, fh):
-            fh.write("2,1,0\n")
-            raise OSError("disk full")
 
         monkeypatch.setattr(pipeline, "samples_to_csv", failing_writer)
         with pytest.raises(OSError, match="disk full"):
-            pipeline.run_sample(cfg, tmp_path)
+            pipeline.run_sample(cfg, out)
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+class TestHeldArtifacts:
+    def test_held_values_are_what_a_read_from_disk_returns(self, tmp_path):
+        cfg = make_config(target={"kind": "haar", "seed": 3})
+        out = pipeline.ArtifactDir(tmp_path)
+        for stage, run in pipeline.STAGES.items():
+            run(cfg, out)
+            # read each artifact the stage wrote before a later stage releases it
+            for name in [n for n in pipeline.READERS if pipeline.PRODUCERS[n] == stage]:
+                held = out.read(name)
+                assert out.read(name) is held, name
+                from_disk = pipeline.ArtifactDir(tmp_path).read(name)
+                assert pickle.dumps(held) == pickle.dumps(from_disk), name
+
+    def test_last_read_releases_the_held_value(self, tmp_path):
+        out = pipeline.ArtifactDir(tmp_path)
+        out.write("positions.json", {"positions": [1.0]})
+        assert out.read("positions.json", last=True).tolist() == [1.0]
+        (tmp_path / "positions.json").write_text('{"positions": [2.0]}')
+        assert out.read("positions.json").tolist() == [2.0]
+
+    def test_held_arrays_are_read_only(self, tmp_path):
+        cfg = make_config()
+        out = pipeline.ArtifactDir(tmp_path)
+        for stage in ("positions", "couplings", "decompose", "distribution", "sample"):
+            pipeline.STAGES[stage](cfg, out)
+        dist, _ = out.read("distribution.json")
+        _, coupling = out.read("couplings.json")
+        arrays = (out.read("samples.csv"), dist.probabilities, coupling.rates,
+                  out.read("positions.json"), out.read("target_unitary.json"))
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_verify_alone_reads_edited_samples(self, tmp_path):
+        cfg = make_config()
+        report = pipeline.run_pipeline(cfg, pipeline.STAGES, tmp_path, quiet=True)
+        path = tmp_path / "samples.csv"
+        lines = path.read_text().splitlines()
+        lines[0] = ",".join(reversed(lines[0].split(",")))  # (0, 1, 2): another outcome
+        path.write_text("\n".join(lines) + "\n")
+        edited = pipeline.run_pipeline(cfg, ("verify",), tmp_path, quiet=True)
+        assert report["tvd_empirical_vs_exact"] == 0.0
+        assert edited["tvd_empirical_vs_exact"] == pytest.approx(1 / 200)
+
+    @pytest.mark.parametrize("failure", ["write", "verify"])
+    def test_nothing_is_held_after_a_failed_run(self, tmp_path, monkeypatch, failure):
+        cfg = make_config(target={"kind": "haar", "seed": 3})
+        with monkeypatch.context() as patch:
+            if failure == "write":
+                patch.setattr(pipeline, "samples_to_csv", failing_writer)
+                raised = OSError
+            else:
+                def out_of_tolerance(*args):
+                    raise pipeline.VerifyToleranceError("forced")
+
+                patch.setattr(pipeline, "total_variation_distance", out_of_tolerance)
+                raised = pipeline.VerifyToleranceError
+            with pytest.raises(raised):
+                pipeline.run_pipeline(cfg, pipeline.STAGES, tmp_path, quiet=True)
+        # the distribution on disk becomes a point mass on its second outcome
+        path = tmp_path / "distribution.json"
+        dist = json.loads(path.read_text())
+        for k, row in enumerate(dist["outcomes"]):
+            row["p"] = float(k == 1)
+        path.write_text(json.dumps(dist))
+        pipeline.run_pipeline(cfg, ("sample",), tmp_path, quiet=True)
+        with open(tmp_path / "samples.csv") as fh:
+            samples = samples_from_csv(fh)
+        assert (samples == dist["outcomes"][1]["s"]).all()
 
 
 class TestVerifySkips:
