@@ -1,13 +1,14 @@
 """Hand-derived reference values and closed-form oracles for the tests.
 
 Everything here is computed independently of the package (pencil-and-paper
-algebra or textbook O(n!) formulas), so a test comparing against these
-values never validates the code against itself.
+algebra, textbook O(n!) formulas or dense matrix exponentials), so a test
+comparing against these values never validates the code against itself.
 """
 
 from itertools import permutations
 
 import numpy as np
+import scipy.linalg
 
 
 def two_ion_position() -> float:
@@ -31,6 +32,53 @@ def permanent_reference(matrix) -> complex:
             term *= a[i, p[i]]
         total += term
     return total
+
+
+def fock_basis(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
+    """Occupations of N bosons in M modes, first mode descending and
+    recursively so in the rest (the canonical outcome order)."""
+    if num_modes == 1:
+        return [(num_bosons,)]
+    return [
+        (first,) + rest
+        for first in range(num_bosons, -1, -1)
+        for rest in fock_basis(num_modes - 1, num_bosons - first)
+    ]
+
+
+def lifted_generator(h, basis) -> np.ndarray:
+    """Dense second-quantized H = sum_ij h_ij a_i^dag a_j on a Fock basis:
+    a_i^dag a_j takes |s> to sqrt(s_j (s_i + 1 - [i == j])) |s - e_j + e_i>."""
+    index = {s: k for k, s in enumerate(basis)}
+    lifted = np.zeros((len(basis), len(basis)), dtype=complex)
+    for k, s in enumerate(basis):
+        for j in np.flatnonzero(s):
+            for i in range(len(s)):
+                target = list(s)
+                target[j] -= 1
+                target[i] += 1
+                lifted[index[tuple(target)], k] += h[i, j] * np.sqrt(s[j] * target[i])
+    return lifted
+
+
+def fock_evolution_distribution(operator, inputs, duration=None) -> np.ndarray:
+    """Probabilities over ``fock_basis`` of exp(-iHt) applied to the input
+    state, by a dense matrix exponential of the lifted generator.
+
+    With ``duration`` omitted, ``operator`` is a one-particle unitary U and
+    the generator is h = i log(U), evolved for t = 1; otherwise it is the
+    Hermitian h itself.  Meant for bases of up to about 120 states.
+    """
+    if duration is None:
+        h = 1j * scipy.linalg.logm(np.asarray(operator, dtype=complex))
+        h, duration = (h + h.conj().T) / 2, 1.0
+    else:
+        h = np.asarray(operator, dtype=complex)
+    basis = fock_basis(len(inputs), sum(inputs))
+    start = np.zeros(len(basis))
+    start[basis.index(tuple(inputs))] = 1.0
+    amps = scipy.linalg.expm(-1j * duration * lifted_generator(h, basis)) @ start
+    return np.abs(amps) ** 2
 
 
 def balanced_splitter_pair_distribution() -> dict[tuple[int, int], float]:

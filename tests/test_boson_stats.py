@@ -249,6 +249,42 @@ class TestDistributions:
         oracle = fock_oracle_distribution(k, (1, 2, 0), duration=t)
         assert total_variation_distance(exact, oracle) < 1e-8
 
+    @pytest.mark.parametrize(
+        "inputs, duration",
+        [((1, 1, 1, 0), None), ((1, 1, 1, 1, 0, 0), None), ((2, 1, 0, 0, 0), None),
+         ((0, 3, 0, 1), None), ((1, 2, 0, 1), 0.8), ((2, 0, 1), 1.7)],
+        ids=["unbunched", "unbunched-126-states", "bunched", "bunched-triple",
+             "duration", "duration-bunched"],
+    )
+    def test_fock_oracle_matches_dense_evolution(self, inputs, duration):
+        # a third route: the lifted generator as a dense matrix, exponentiated
+        m = len(inputs)
+        if duration is None:
+            operator = haar_unitary(m, seed=11 + m)
+        else:
+            rng = np.random.default_rng(m)
+            k = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            operator = (k + k.conj().T) / 2
+        oracle = fock_oracle_distribution(operator, inputs, duration=duration)
+        expected = oracles.fock_evolution_distribution(operator, inputs, duration)
+        assert list(oracle.outcomes) == oracles.fock_basis(m, sum(inputs))
+        assert 0.5 * np.abs(oracle.probabilities - expected).sum() < 1e-12
+
+    @pytest.mark.parametrize("inputs", [(1, 1, 0), (1, 1, 0, 0, 0)], ids=["fewer", "more"])
+    @pytest.mark.parametrize("duration", [None, 0.8], ids=["unitary", "duration"])
+    def test_fock_oracle_dimension_mismatch(self, inputs, duration):
+        k = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=float)
+        operator = k if duration is not None else evolve_modes(k, 0.8)
+        with pytest.raises(ValueError, match="operator dimension does not match occupations"):
+            fock_oracle_distribution(operator, inputs, duration=duration)
+
+    def test_nan_probabilities_fail_the_normalization_check(self):
+        # a NaN sum compares False against any tolerance; the check must not
+        # pass it (a NaN matrix gets past assert_unitary, and the Fock lift
+        # overflows to inf and NaN at thousands of bosons in two modes)
+        with pytest.raises(RuntimeError, match="sums to 1[+]nan"):
+            exact_distribution(np.full((2, 2), np.nan), (1, 0))
+
     def test_fock_identity_point_mass(self):
         dist = fock_oracle_distribution(np.eye(3), (0, 2, 1))
         probs = dict(zip(dist.outcomes, dist.probabilities))
@@ -318,8 +354,8 @@ class TestDistributions:
         for m, n in ((4, 4), (8, 6), (6, 8), (12, 3), (5, 1), (1, 3)):
             h = scipy.linalg.logm(haar_unitary(m, seed=m + n)) * 1j
             h = (h + h.conj().T) / 2
-            lifted = boson_stats._lift_generator(h, enumerate_outcomes(m, n))
-            assert lifted.nnz == fock_generator_entries(m, n), (m, n)
+            lifted = oracles.lifted_generator(h, oracles.fock_basis(m, n))
+            assert np.count_nonzero(lifted) == fock_generator_entries(m, n), (m, n)
 
     def test_entry_guard_admits_the_old_basis_guard_up_to_20_modes(self):
         # every basis the former 5e4-state guard admitted on up to 20 modes

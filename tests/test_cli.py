@@ -349,12 +349,29 @@ class TestFailureModes:
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the Fock-space oracle uses scipy, and importing it at start-up
-    # would double the time every CLI call spends on imports
+    # scipy is imported only where simulate_schedule needs scipy.linalg.schur;
+    # importing it at start-up would double the time every CLI call spends on
+    # imports
     result = subprocess.run(
         [sys.executable, "-c", "import sys, ionsampler; print('scipy' in sys.modules)"],
         capture_output=True, text=True,
     )
+    assert result.stdout.strip() == "False", result.stderr
+
+
+def test_fock_oracle_leaves_scipy_unloaded():
+    # the verify stage's oracle, in both its forms, needs numpy alone, so a
+    # fresh verify run carries no scipy imports
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ionsampler.boson_stats import fock_oracle_distribution\n"
+        "from ionsampler.linear_optics import haar_unitary\n"
+        "fock_oracle_distribution(haar_unitary(4, seed=1), (1, 1, 1, 0))\n"
+        "fock_oracle_distribution(np.ones((3, 3)), (2, 0, 1), duration=0.5)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.stdout.strip() == "False", result.stderr
 
 
