@@ -15,7 +15,8 @@ many-body route (`fock_oracle_distribution`) that builds the output state
 in the full bosonic Fock space, applying to the vacuum one creation
 operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
 nothing but the outcome enumeration and its rank, which makes their
-agreement a meaningful cross-check.
+agreement a meaningful cross-check.  Both hold the outcomes as one (K, M)
+table of the smallest unsigned dtype that holds N, rows in canonical order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import io
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial
 
 import numpy as np
@@ -60,10 +60,11 @@ NORMALIZATION_TOL = 1e-9
 # N = 5 (3.4e6 entries; 98 MB RSS peak) and 46 MB at M = 8, N = 12 (1.8e6;
 # 81 MB).  It admits every basis of up to 5e4 states on up to 20 modes.
 FOCK_MAX_ENTRIES = 3_500_000
-# Outcome tuples and their JSON rows cost about 0.8 kB each: at M = 16, N = 8
-# (490 314 outcomes) the distribution stage alone takes 6-7.5 s and peaks at
-# 404 MB RSS, of which exact_distribution is 2.2 s and 207 MB, and the verify
-# stage, which parses that distribution.json, peaks at 324 MB.
+# At M = 16, N = 8 (490 314 outcomes, Haar, each run alone in a fresh process
+# on 2 CPUs) the outcome table is 7.8 MB and exact_distribution takes 1.3-1.5 s
+# and peaks at 66 MB RSS, 30 MB above the interpreter and numpy.  The stages
+# cost more, for the JSON rows of distribution.json: distribution takes 5.2 s
+# and peaks at 335 MB, sample 3.8 s and 306 MB, verify 3.4 s and 307 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written: the text of one block is
 # joined and written at once, so memory does not grow with the sample count.
@@ -227,30 +228,21 @@ def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
     return occ
 
 
-def _outcome_array(outcomes, num_modes: int) -> np.ndarray:
-    """The (outcomes, M) integer array of a sequence of outcome tuples.
-
-    One flat pass over the entries takes about half the time of np.array,
-    which inspects every tuple.  Every tuple must have M entries.
-    """
-    flat = np.fromiter(chain.from_iterable(outcomes), np.intp, len(outcomes) * num_modes)
-    return flat.reshape(len(outcomes), num_modes)
-
-
-def _probabilities(u: np.ndarray, outcomes, t: tuple[int, ...]) -> np.ndarray:
-    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, by batched Ryser.
+def _probabilities(u: np.ndarray, table: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
+    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, a row of ``table``,
+    by batched Ryser.
 
     Rows of A_S follow the outcome and columns follow the inputs (see the
     module docstring), so every A_S takes its columns from the same
     U[:, inputs] and only its row indices differ.  Those are built for one
-    chunk of outcomes per kernel call, so memory is set by the outcome list.
+    chunk of outcomes per kernel call, so memory is set by the outcome table.
     """
     cols = np.repeat(u, t, axis=1)
     m, n = u.shape[0], cols.shape[1]
     factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
-    probs = np.empty(len(outcomes))
-    for first in range(0, len(outcomes), RYSER_CHUNK_ELEMENTS):
-        occ = _outcome_array(outcomes[first:first + RYSER_CHUNK_ELEMENTS], m)
+    probs = np.empty(len(table))
+    for first in range(0, len(table), RYSER_CHUNK_ELEMENTS):
+        occ = table[first:first + RYSER_CHUNK_ELEMENTS]
         rows = np.repeat(np.tile(np.arange(m), len(occ)), occ.ravel()).reshape(len(occ), n)
         norms = factorials[occ].prod(axis=1) * factorials[list(t)].prod()
         probs[first:first + len(occ)] = np.abs(_ryser_sums(cols, rows)) ** 2 / norms
@@ -269,16 +261,14 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     t = _occupation(inputs, u.shape[1])
     if sum(s) != sum(t):
         raise ValueError(f"boson totals differ: outcome {sum(s)}, inputs {sum(t)}")
-    return float(_probabilities(u, [s], t)[0])
+    return float(_probabilities(u, np.array([s]), t)[0])
 
 
-def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
-    """All compositions of N into M parts, first index descending.
-
-    The order is part of the serialization contract: (2,0) before (1,1)
-    before (0,2), and recursively so in the remaining modes.  Refuses more
-    than OUTCOME_MAX_COUNT outcomes before building any of them.
-    """
+def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
+    """:func:`enumerate_outcomes` as a (K, M) table of the smallest unsigned
+    dtype that holds N, one column per pass: a prefix with r bosons left has
+    children r, r - 1, ..., 0 in the next mode, and each child's entry fills
+    one row per completion of what it leaves over the modes after it."""
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     if num_bosons < 0:
@@ -289,13 +279,27 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
             f"{count} outcomes of {num_bosons} bosons in {num_modes} modes "
             f"exceed the outcome guard {OUTCOME_MAX_COUNT}"
         )
-    # tails[k]: the compositions of k into the last modes, extended by one
-    # mode per pass; the last pass needs only the full total
-    tails = [[(k,)] for k in range(num_bosons + 1)]
-    for left in range(num_modes - 1, 0, -1):
-        totals = range(num_bosons + 1) if left > 1 else [num_bosons]
-        tails = [[(f,) + rest for f in range(k, -1, -1) for rest in tails[k - f]] for k in totals]
-    return tails[-1]
+    table = np.empty((count, num_modes), dtype=np.min_scalar_type(num_bosons))
+    left = np.array([num_bosons])  # bosons left by each prefix
+    for i in range(num_modes - 1):
+        children = left + 1
+        after = np.arange(children.sum()) - np.repeat(np.cumsum(children) - children, children)
+        rest = num_modes - i - 2  # modes after this one, less the last
+        completions = np.array([comb(r + rest, rest) for r in range(num_bosons + 1)])
+        table[:, i] = np.repeat(np.repeat(left, children) - after, completions[after])
+        left = after
+    table[:, -1] = left
+    return table
+
+
+def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
+    """All compositions of N into M parts, first index descending.
+
+    The order is part of the serialization contract: (2,0) before (1,1)
+    before (0,2), and recursively so in the remaining modes.  Refuses more
+    than OUTCOME_MAX_COUNT outcomes before building any of them.
+    """
+    return list(map(tuple, _outcome_table(num_modes, num_bosons).tolist()))
 
 
 def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
@@ -318,39 +322,45 @@ def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
 class OutcomeDistribution:
     """Probabilities over all occupation vectors with a fixed boson total.
 
-    ``outcomes`` follows the :func:`enumerate_outcomes` order.  Provenance
-    is one of "exact" (permanent route), "fock_oracle" (many-body route) or
-    "empirical" (sample frequencies).
+    ``table`` holds the outcomes as the rows of one (K, M) integer array,
+    in the :func:`enumerate_outcomes` order, and ``probabilities[k]`` is
+    the probability of row k.  Provenance is one of "exact" (permanent
+    route), "fock_oracle" (many-body route) or "empirical" (sample
+    frequencies).
     """
 
     num_modes: int
     num_bosons: int
     provenance: str
-    outcomes: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if len(self.outcomes) != p.size:
+        if len(self.table) != p.size:
             raise ValueError("outcomes and probabilities length mismatch")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
+
+    @property
+    def outcomes(self) -> tuple[tuple[int, ...], ...]:  # built on each call
+        return tuple(map(tuple, self.table.tolist()))
 
     @property
     def total(self) -> float:
         return float(self.probabilities.sum())
 
 
-def _distribution_from_probs(outcomes, provenance, probs, norm_tol):
+def _distribution_from_probs(table, provenance, probs, norm_tol):
     residual = abs(probs.sum() - 1.0)
     if not residual <= norm_tol:  # so that a NaN sum fails too
         raise RuntimeError(
             f"{provenance} distribution sums to 1{residual:+.3e}; "
             "numerical failure beyond tolerance"
         )
-    m, n = len(outcomes[0]), sum(outcomes[0])
-    return OutcomeDistribution(m, n, provenance, tuple(outcomes), probs)
+    m, n = table.shape[1], int(table[0].sum())
+    return OutcomeDistribution(m, n, provenance, table, probs)
 
 
 def exact_distribution(
@@ -362,8 +372,8 @@ def exact_distribution(
     """
     u = assert_unitary(matrix, unit_tol)
     t = _occupation(inputs, u.shape[0])
-    outcomes = enumerate_outcomes(len(t), sum(t))
-    return _distribution_from_probs(outcomes, "exact", _probabilities(u, outcomes, t), norm_tol)
+    table = _outcome_table(len(t), sum(t))
+    return _distribution_from_probs(table, "exact", _probabilities(u, table, t), norm_tol)
 
 
 def fock_generator_entries(num_modes: int, num_bosons: int) -> int:
@@ -429,9 +439,10 @@ def fock_oracle_distribution(
     if u.shape[0] != m:
         raise ValueError("operator dimension does not match occupations")
 
-    states = np.zeros((1, m), dtype=np.intp)  # the vacuum, then k bosons after k steps
+    # the vacuum, then after k steps the table of k bosons (rows in rank order)
+    states = np.zeros((1, m), dtype=np.min_scalar_type(n))
     amps = np.ones(1, dtype=complex)
-    unit = np.eye(m, dtype=np.intp)  # e_i, one row per mode
+    unit = np.eye(m, dtype=states.dtype)  # e_i, one row per mode
     # (b_j^dag)^t_j / sqrt(t_j!) as t_j factors b_j^dag / sqrt(c): the state
     # stays normalized, and no factorial overflows past 170 bosons
     bosons = [(j, c) for j in range(m) for c in range(1, t[j] + 1)]
@@ -440,66 +451,81 @@ def fock_oracle_distribution(
         weights = (amps[:, None] * np.sqrt((states + 1) / c) * u[:, j]).ravel()
         rank, count = _outcome_rank(raised, k), comb(k + m - 1, k)
         amps = np.bincount(rank, weights.real, count) + 1j * np.bincount(rank, weights.imag, count)
-        states = np.empty((count, m), dtype=np.intp)
+        states = np.empty((count, m), dtype=states.dtype)
         states[rank] = raised
-    probs = np.abs(amps) ** 2
-    return _distribution_from_probs(enumerate_outcomes(m, n), "fock_oracle", probs, norm_tol)
+    return _distribution_from_probs(states, "fock_oracle", np.abs(amps) ** 2, norm_tol)
+
+
+def _outcome_rows(rows, num_modes: int, num_bosons: int, label: str) -> np.ndarray:
+    """``rows`` as an int64 (K, M) array.  A row that is not an outcome of N
+    bosons in M modes (another length, an entry that is not a nonnegative
+    integer, or another total) raises ValueError naming the first such row
+    as ``label`` k."""
+    try:
+        table = np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        k = next(k for k, row in enumerate(rows) if len(row) != num_modes)
+        bad = rows[k]
+    else:
+        if table.ndim != 2:
+            raise ValueError(f"{label}s must be rows of occupations, got shape {table.shape}")
+        if table.dtype.kind not in "iuf":
+            raise ValueError(f"{label}s must be integer occupations, not {table.dtype}")
+        foreign = (table < 0).any(axis=1) | (table.sum(axis=1) != num_bosons)
+        foreign |= table.shape[1] != num_modes
+        if table.dtype.kind == "f":
+            foreign |= (table != np.round(table)).any(axis=1)
+        if not foreign.any():
+            return table.astype(np.int64, copy=False)
+        k = int(np.argmax(foreign))
+        bad = table[k].tolist()
+    raise ValueError(
+        f"{label} {k} {tuple(bad)} is not an outcome of {num_bosons} bosons in {num_modes} modes"
+    )
 
 
 def check_samples(samples, num_modes: int, num_bosons: int) -> np.ndarray:
-    """``samples`` as an integer array.  No rows, or a sample that is not an outcome
-    of N bosons in M modes (wrong length, a negative entry or another total),
-    raises ValueError naming the first such sample."""
-    samples = np.asarray(samples, dtype=np.int64)
-    if not samples.size:
+    """``samples`` as an int64 array.  No rows, or a sample that is not an
+    outcome of N bosons in M modes, raises ValueError naming the first such
+    sample (see :func:`_outcome_rows`)."""
+    if not np.size(samples):
         raise ValueError("no samples")
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be rows of occupations, got shape {samples.shape}")
-    foreign = (samples < 0).any(axis=1) | (samples.sum(axis=1) != num_bosons)
-    foreign |= samples.shape[1] != num_modes
-    if foreign.any():
-        row = int(np.argmax(foreign))
-        raise ValueError(
-            f"sample {row} {tuple(samples[row].tolist())} is not an outcome of "
-            f"{num_bosons} bosons in {num_modes} modes"
-        )
-    return samples
+    return _outcome_rows(samples, num_modes, num_bosons, "sample")
 
 
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
     """Relative frequencies of ``samples`` over the canonical outcome order;
     samples are checked by :func:`check_samples`."""
     samples = check_samples(samples, num_modes, num_bosons)
-    outcomes = enumerate_outcomes(num_modes, num_bosons)
-    probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=len(outcomes)) / len(samples)
-    return OutcomeDistribution(num_modes, num_bosons, "empirical", tuple(outcomes), probs)
+    table = _outcome_table(num_modes, num_bosons)
+    probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=len(table)) / len(samples)
+    return OutcomeDistribution(num_modes, num_bosons, "empirical", table, probs)
 
 
 def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.ndarray:
     """Inverse-CDF draws from an exact/oracle distribution; PCG64-seeded.
 
-    Returns an (num_samples, M) integer array.  Identical seeds give
+    Returns an (num_samples, M) int64 array.  Identical seeds give
     identical arrays; the generator is numpy's default PCG64 stream.
     """
     if dist.provenance not in ("exact", "fock_oracle"):
         raise ValueError(f"refusing to sample from {dist.provenance!r} distribution")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    if abs(dist.total - 1.0) > 1e-6:
+    if not abs(dist.total - 1.0) <= 1e-6:  # so that a NaN sum fails too
         raise ValueError(f"distribution is unnormalized (sum {dist.total})")
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(num_samples), side="right")
-    table = _outcome_array(dist.outcomes, dist.num_modes)
-    return table[np.minimum(idx, len(table) - 1)]
+    return dist.table[np.minimum(idx, len(dist.table) - 1)].astype(np.int64)
 
 
 def total_variation_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """Half the L1 distance between two distributions on the same outcome set."""
     if (p.num_modes, p.num_bosons) != (q.num_modes, q.num_bosons):
         raise ValueError("distributions live on different outcome spaces")
-    if p.outcomes != q.outcomes:
+    if not np.array_equal(p.table, q.table):
         raise ValueError("outcome orders differ")
     return float(0.5 * np.abs(p.probabilities - q.probabilities).sum())
 
@@ -510,22 +536,19 @@ def distribution_to_json(dist: OutcomeDistribution) -> dict:
         "n": dist.num_bosons,
         "provenance": dist.provenance,
         "outcomes": [
-            {"s": list(s), "p": float(p)}
-            for s, p in zip(dist.outcomes, dist.probabilities)
+            {"s": s, "p": p}
+            for s, p in zip(dist.table.tolist(), dist.probabilities.tolist())
         ],
     }
 
 
 def distribution_from_json(data: dict) -> OutcomeDistribution:
-    """Inverse of :func:`distribution_to_json`; an outcome of the wrong
-    length raises ValueError naming it."""
-    m = int(data["m"])
-    outcomes = tuple(tuple(int(x) for x in row["s"]) for row in data["outcomes"])
-    for k, s in enumerate(outcomes):
-        if len(s) != m:
-            raise ValueError(f"outcome {k} {s} does not have {m} modes")
+    """Inverse of :func:`distribution_to_json`.  A row that is not an outcome
+    of n bosons in m modes raises ValueError naming the first such row."""
+    m, n = int(data["m"]), int(data["n"])
+    table = _outcome_rows([row["s"] for row in data["outcomes"]], m, n, "outcome")
     probs = np.array([row["p"] for row in data["outcomes"]], dtype=float)
-    return OutcomeDistribution(m, int(data["n"]), data["provenance"], outcomes, probs)
+    return OutcomeDistribution(m, n, data["provenance"], table.astype(np.min_scalar_type(n)), probs)
 
 
 def samples_to_csv(samples, fh) -> None:

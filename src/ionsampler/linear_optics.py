@@ -49,7 +49,7 @@ def assert_unitary(matrix, tol: float = UNITARITY_TOL) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
+    if not defect <= tol:  # so that a NaN defect fails too
         raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
     return u
 
@@ -61,7 +61,7 @@ def assert_hermitian(generator) -> np.ndarray:
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"expected a square generator, got shape {k.shape}")
     herm_defect = np.max(np.abs(k - k.conj().T))
-    if herm_defect > 1e-10 * max(1.0, np.max(np.abs(k))):
+    if not herm_defect <= 1e-10 * max(1.0, np.max(np.abs(k))):  # NaN fails too
         raise ValueError(f"generator is not Hermitian: defect {herm_defect:.3e}")
     return k
 

@@ -291,7 +291,7 @@ def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
         dist, source_name = out.read("distribution.json")
         residual = abs(dist.total - 1.0)
         report["normalization_residual"] = residual
-        if residual > tols.normalization:
+        if not residual <= tols.normalization:  # so that a NaN residual fails too
             raise VerifyToleranceError(
                 f"distribution normalization residual {residual:.3e} exceeds "
                 f"tolerance {tols.normalization:.1e}"

@@ -46,6 +46,18 @@ def fock_basis(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
     ]
 
 
+def outcome_tuples(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
+    """The canonical outcome order built as tuples, last modes first, as
+    the reference for the package's outcome table: tails[k] holds the
+    compositions of k into the last modes and is extended by one mode per
+    pass (the last pass needs only the full total)."""
+    tails = [[(k,)] for k in range(num_bosons + 1)]
+    for left in range(num_modes - 1, 0, -1):
+        totals = range(num_bosons + 1) if left > 1 else [num_bosons]
+        tails = [[(f,) + rest for f in range(k, -1, -1) for rest in tails[k - f]] for k in totals]
+    return tails[-1]
+
+
 def lifted_generator(h, basis) -> np.ndarray:
     """Dense second-quantized H = sum_ij h_ij a_i^dag a_j on a Fock basis:
     a_i^dag a_j takes |s> to sqrt(s_j (s_i + 1 - [i == j])) |s - e_j + e_i>."""

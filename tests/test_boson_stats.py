@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -16,6 +17,9 @@ from ionsampler import boson_stats
 from ionsampler.boson_stats import (
     OUTCOME_MAX_COUNT,
     RYSER_CHUNK_ELEMENTS,
+    check_samples,
+    distribution_from_json,
+    distribution_to_json,
     empirical_distribution,
     enumerate_outcomes,
     exact_distribution,
@@ -219,6 +223,41 @@ class TestEnumeration:
             assert boson_stats._outcome_rank(rows, n).tolist() == shuffled.tolist()
 
 
+class TestOutcomeTable:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_table_is_the_tuple_recursion(self, m):
+        for n in range(8):
+            table = boson_stats._outcome_table(m, n)
+            assert table.shape == (comb(n + m - 1, n), m)
+            assert list(map(tuple, table.tolist())) == oracles.outcome_tuples(m, n)
+
+    @pytest.mark.parametrize("n, dtype", [(0, np.uint8), (255, np.uint8), (256, np.uint16)])
+    def test_dtype_is_the_smallest_that_holds_n(self, n, dtype):
+        assert boson_stats._outcome_table(2, n).dtype == dtype
+
+    def test_distribution_holds_the_table_and_tuples_on_demand(self):
+        dist = exact_distribution(haar_unitary(4, seed=3), (2, 1, 0, 0))
+        assert dist.table.dtype == np.uint8
+        np.testing.assert_array_equal(dist.table, np.array(oracles.outcome_tuples(4, 3)))
+        assert dist.outcomes == tuple(oracles.outcome_tuples(4, 3))
+        assert all(type(s) is tuple and all(type(x) is int for x in s) for s in dist.outcomes)
+
+    def test_samples_are_int64(self):
+        dist = exact_distribution(haar_unitary(3, seed=1), (1, 1, 0))
+        assert sample_outcomes(dist, 50, seed=2).dtype == np.int64
+
+    def test_oracle_hands_over_the_same_table(self):
+        u = haar_unitary(5, seed=4)
+        oracle = fock_oracle_distribution(u, (0, 2, 1, 0, 1))
+        np.testing.assert_array_equal(oracle.table, boson_stats._outcome_table(5, 4))
+
+    def test_tvd_refuses_tables_that_differ(self):
+        a = exact_distribution(BALANCED, (1, 1))
+        b = boson_stats.OutcomeDistribution(2, 2, "exact", a.table[::-1], a.probabilities)
+        with pytest.raises(ValueError, match="outcome orders differ"):
+            total_variation_distance(a, b)
+
+
 class TestDistributions:
     def test_identity_point_mass(self):
         dist = exact_distribution(np.eye(3), (1, 0, 2))
@@ -278,11 +317,16 @@ class TestDistributions:
         with pytest.raises(ValueError, match="operator dimension does not match occupations"):
             fock_oracle_distribution(operator, inputs, duration=duration)
 
-    def test_nan_probabilities_fail_the_normalization_check(self):
+    def test_nan_probabilities_fail_the_normalization_check(self, monkeypatch):
         # a NaN sum compares False against any tolerance; the check must not
-        # pass it (a NaN matrix gets past assert_unitary, and the Fock lift
-        # overflows to inf and NaN at thousands of bosons in two modes)
+        # pass it (the Fock lift overflows to inf and NaN at thousands of
+        # bosons in two modes)
+        monkeypatch.setattr(boson_stats, "_probabilities", lambda u, table, t: np.full(len(table), np.nan))
         with pytest.raises(RuntimeError, match="sums to 1[+]nan"):
+            exact_distribution(np.eye(2), (1, 0))
+
+    def test_nan_matrix_fails_the_unitarity_check(self):
+        with pytest.raises(ValueError, match=re.escape("not unitary: max |U^dag U - I| = nan")):
             exact_distribution(np.full((2, 2), np.nan), (1, 0))
 
     def test_fock_identity_point_mass(self):
@@ -492,3 +536,33 @@ class TestComparisonAndSerialization:
         samples_to_csv(samples, buf)
         buf.seek(0)
         np.testing.assert_array_equal(samples_from_csv(buf), samples)
+
+    def test_distribution_json_round_trip(self):
+        dist = exact_distribution(haar_unitary(3, seed=5), (1, 0, 1))
+        back = distribution_from_json(json.loads(json.dumps(distribution_to_json(dist))))
+        np.testing.assert_array_equal(back.table, dist.table)
+        assert back.table.dtype == dist.table.dtype
+        assert back.probabilities.tolist() == dist.probabilities.tolist()
+        assert total_variation_distance(back, dist) == 0.0
+
+    @pytest.mark.parametrize("row, bad", [
+        ([1.5, 0.5], "outcome 1 (1.5, 0.5)"),  # not integers
+        ([3, -1], "outcome 1 (3, -1)"),  # negative entry
+        ([1, 0], "outcome 1 (1, 0)"),  # one boson, not two
+    ])
+    def test_distribution_rows_that_are_not_outcomes_rejected(self, row, bad):
+        data = distribution_to_json(exact_distribution(BALANCED, (1, 1)))
+        data["outcomes"][1]["s"] = row
+        with pytest.raises(ValueError, match=re.escape(bad) + " is not an outcome of 2 bosons in 2 modes"):
+            distribution_from_json(data)
+
+    def test_distribution_row_of_another_length_named(self):
+        data = distribution_to_json(exact_distribution(BALANCED, (1, 1)))
+        data["outcomes"][2]["s"] = [0, 2, 0]
+        with pytest.raises(ValueError, match=re.escape("outcome 2 (0, 2, 0) is not an outcome")):
+            distribution_from_json(data)
+
+    def test_non_integer_samples_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("sample 1 (0.5, 1.5) is not an outcome")):
+            check_samples([[1.0, 1.0], [0.5, 1.5]], 2, 2)
+        assert check_samples([[1.0, 1.0]], 2, 2).dtype == np.int64

@@ -336,6 +336,43 @@ class TestFailureModes:
         dist_path.write_text(json.dumps(dist))
         assert run("verify", config, out) == 3
 
+    @pytest.mark.parametrize("stage, code, message", [
+        ("sample", 1, "error: distribution is unnormalized (sum nan)"),
+        ("verify", 3, "error: distribution normalization residual nan exceeds tolerance"),
+    ])
+    def test_nan_probability_is_refused(self, tmp_path, capsys, stage, code, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet") == 0
+        dist_path = out / "distribution.json"
+        dist = json.loads(dist_path.read_text())
+        dist["outcomes"][1]["p"] = float("nan")
+        dist_path.write_text(json.dumps(dist))
+        samples = (out / "samples.csv").read_bytes()
+        capsys.readouterr()
+        assert run(stage, config, out, "--quiet") == code
+        assert capsys.readouterr().err.startswith(message)
+        assert (out / "samples.csv").read_bytes() == samples
+
+    @pytest.mark.parametrize("row, bad", [([1.5, 0.5], "(1.5, 0.5)"), ([3, -1], "(3, -1)")])
+    def test_distribution_row_that_is_not_an_outcome_is_exit_1(self, tmp_path, capsys, row, bad):
+        config = write_config(
+            tmp_path, chain={"num_ions": 2}, input={"occupations": [1, 1]}, target={"kind": "fourier"}
+        )
+        out = tmp_path / "out"
+        for producer in ("decompose", "distribution"):
+            assert run(producer, config, out, "--quiet") == 0
+        dist_path = out / "distribution.json"
+        dist = json.loads(dist_path.read_text())
+        dist["outcomes"][1]["s"] = row
+        dist_path.write_text(json.dumps(dist))
+        capsys.readouterr()
+        assert run("sample", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read distribution.json: outcome 1 {bad} is not an outcome of 2 bosons in 2 modes"
+        )
+        assert not (out / "samples.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -10,6 +10,7 @@ from ionsampler.linear_optics import (
     BSElement,
     ElementSequence,
     PhaseElement,
+    assert_hermitian,
     assert_unitary,
     beam_splitter_unitary,
     evolve_modes,
@@ -154,6 +155,20 @@ class TestReckDecomposition:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             reck_decompose(np.ones((3, 3)))
+
+    def test_nan_matrix_is_not_unitary(self):
+        u = np.eye(3)
+        u[1, 2] = np.nan
+        with pytest.raises(ValueError, match="= nan"):
+            assert_unitary(u)
+        with pytest.raises(ValueError, match="= nan"):
+            assert_unitary(u, tol=np.inf)
+
+    def test_nan_generator_is_not_hermitian(self):
+        k = np.zeros((3, 3))
+        k[0, 1] = k[1, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+            assert_hermitian(k)
 
 
 class TestSequenceSerialization:
