@@ -36,6 +36,7 @@ __all__ = [
     "outcome_probability",
     "enumerate_outcomes",
     "OutcomeDistribution",
+    "NormalizationError",
     "exact_distribution",
     "fock_generator_entries",
     "fock_oracle_refusal",
@@ -74,6 +75,10 @@ _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # and outcomes per chunk of row indices.  The only larger arrays, the subset
 # row-sum tables, stay under 16 MB for a single permanent at n = 30.
 RYSER_CHUNK_ELEMENTS = 1 << 14
+
+
+class NormalizationError(RuntimeError):
+    """A computed distribution's sum strays from 1 by more than its tolerance."""
 
 
 @lru_cache(maxsize=8)
@@ -355,7 +360,7 @@ class OutcomeDistribution:
 def _distribution_from_probs(table, provenance, probs, norm_tol):
     residual = abs(probs.sum() - 1.0)
     if not residual <= norm_tol:  # so that a NaN sum fails too
-        raise RuntimeError(
+        raise NormalizationError(
             f"{provenance} distribution sums to 1{residual:+.3e}; "
             "numerical failure beyond tolerance"
         )

@@ -4,8 +4,8 @@ One subcommand per pipeline stage plus ``all``.  Every subcommand takes
 the same flags; single-stage invocations read upstream artifacts from
 the output directory and fail (exit 1) when those are missing.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 equilibrium
-solver failure, 3 verify-stage tolerance violation.
+Exit codes: 0 success, 1 configuration, validation or normalization error,
+2 equilibrium solver failure, 3 verify-stage tolerance violation.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .boson_stats import NormalizationError
 from .config import ConfigError, load_config
 from .ion_chain import ConvergenceError, ValidityError
 from .pipeline import STAGES, PipelineError, VerifyToleranceError, run_pipeline
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, PipelineError, ValidityError, ValueError) as exc:
+    except (ConfigError, NormalizationError, PipelineError, ValidityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report is not None and not args.quiet:

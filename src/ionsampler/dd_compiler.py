@@ -22,10 +22,10 @@ with weight s_i * s_k.  Two flip schemes are provided:
 
 Schedules subdivide the total time into ``n_sub`` repetitions whose slice
 order is palindromic, pushing the leading average-Hamiltonian error to
-second order; accuracy improves roughly as 1/n_sub^2 in amplitude.  A
-beam splitter compiles to one :class:`DecouplingBlock` whose first frame is
-all +1, so each mode's accumulated bookkeeping phase is a multiple of 2 pi;
-:meth:`PulseSchedule.expand` writes it out as segments and pi events.
+second order; accuracy improves roughly as 1/n_sub^2 in amplitude.  A beam
+splitter compiles to one :class:`DecouplingBlock` of L sign vectors whose
+product over the set bits of t is slice t of 2^L (Walsh-modulated decoupling,
+Hayes et al., PRA 84, 062323 (2011)); :meth:`PulseSchedule.expand` writes it out.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .linear_optics import (
     _check_pair,
     assert_hermitian,
     assert_unitary,
-    evolve_modes,
     reck_decompose,
 )
 
@@ -88,23 +87,29 @@ class PhaseEvent:
 
 @dataclass(frozen=True)
 class DecouplingBlock:
-    """``n_sub`` repetitions of ``frames + frames[::-1]``, each frame held for
-    ``tau`` seconds and entered by pi events; the first frame is all +1."""
+    """``n_sub`` repetitions of 2^L frames and their mirror image, each held ``tau``
+    seconds; frame t is the product of the L ``generators`` over the set bits of t."""
 
     tau: float
-    frames: tuple[SignPattern, ...]
+    generators: tuple[SignPattern, ...]
     n_sub: int
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "generators", tuple(self.generators))
         if self.tau < 0 or self.n_sub < 1:
             raise ValueError("a block needs tau >= 0 and n_sub >= 1")
-        if not self.frames or set(self.frames[0].signs) != {1}:
-            raise ValueError("the first frame of a block must be all +1")
 
     @property
     def duration(self) -> float:
-        return self.n_sub * 2 * len(self.frames) * self.tau
+        return self.n_sub * 2 * 2 ** len(self.generators) * self.tau
+
+
+def _walsh_frames(generators, dim: int) -> np.ndarray:
+    """The (2^L, dim) signs of the frames of L generators, in order."""
+    frames = np.ones((1, dim), dtype=int)
+    for g in generators:
+        frames = np.concatenate([frames, frames * g.signs])
+    return frames
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,8 @@ class PulseSchedule:
         object.__setattr__(self, "steps", tuple(self.steps))
         elapsed = 0.0
         for step in self.steps:
-            if isinstance(step, DecouplingBlock) and any(len(f.signs) != self.dim for f in step.frames):
-                raise ValueError(f"block frame length differs from dim {self.dim}")
+            if isinstance(step, DecouplingBlock) and any(len(g.signs) != self.dim for g in step.generators):
+                raise ValueError(f"block generator length differs from dim {self.dim}")
             if isinstance(step, (EvolutionSegment, DecouplingBlock)):
                 elapsed += step.duration
             elif isinstance(step, PhaseEvent):
@@ -152,11 +157,12 @@ class PulseSchedule:
 
         for step in self.steps:
             if isinstance(step, DecouplingBlock):
-                current = step.frames[0].signs
-                for frame in (step.frames + step.frames[::-1]) * step.n_sub:
-                    flips = [m for m, (a, b) in enumerate(zip(current, frame.signs), 1) if a != b]
+                frames = _walsh_frames(step.generators, self.dim).tolist()
+                current = frames[0]
+                for frame in (frames + frames[::-1]) * step.n_sub:
+                    flips = [m for m, (a, b) in enumerate(zip(current, frame), 1) if a != b]
                     steps.extend(PhaseEvent(elapsed, mode, np.pi) for mode in flips)
-                    current = frame.signs
+                    current = frame
                     evolve(step.tau)
             elif isinstance(step, EvolutionSegment):
                 evolve(step.duration)
@@ -170,19 +176,12 @@ class PulseSchedule:
             if isinstance(step, EvolutionSegment):
                 steps.append({"segment_s": float(step.duration)})
             elif isinstance(step, DecouplingBlock):
-                frames = [[int(x) for x in frame.signs] for frame in step.frames]
-                block = {"tau_s": float(step.tau), "frames": frames, "n_sub": int(step.n_sub)}
+                signs = [[int(x) for x in g.signs] for g in step.generators]
+                block = {"tau_s": float(step.tau), "generators": signs, "n_sub": int(step.n_sub)}
                 steps.append({"block": block})
             else:
-                steps.append(
-                    {
-                        "phase": {
-                            "t_s": float(step.time),
-                            "mode": step.mode_index,
-                            "phi": float(step.phi),
-                        }
-                    }
-                )
+                ev = {"t_s": float(step.time), "mode": step.mode_index, "phi": float(step.phi)}
+                steps.append({"phase": ev})
         return {"dim": self.dim, "steps": steps, "total_s": float(self.total_duration)}
 
     @classmethod
@@ -193,8 +192,8 @@ class PulseSchedule:
                 steps.append(EvolutionSegment(float(entry["segment_s"])))
             elif "block" in entry:
                 b = entry["block"]
-                frames = [SignPattern(tuple(f)) for f in b["frames"]]
-                steps.append(DecouplingBlock(float(b["tau_s"]), frames, int(b["n_sub"])))
+                generators = [SignPattern(tuple(g)) for g in b["generators"]]
+                steps.append(DecouplingBlock(float(b["tau_s"]), generators, int(b["n_sub"])))
             elif "phase" in entry:
                 ev = entry["phase"]
                 steps.append(PhaseEvent(float(ev["t_s"]), int(ev["mode"]), float(ev["phi"])))
@@ -234,6 +233,15 @@ def nn_isolation_pattern(dim: int, pair_index: int) -> SignPattern:
     return SignPattern(tuple(int(x) for x in s))
 
 
+def _hadamard_generators(dim: int, pair_index: int) -> tuple[SignPattern, ...]:
+    """Generator j of the Hadamard scheme is (-1)^(bit j of each mode's row)."""
+    _check_pair(pair_index, dim)
+    i = np.arange(dim)
+    rows = np.where(i < pair_index - 1, i + 1, np.where(i > pair_index, i - 1, 0))
+    bits = (rows[:, None] >> np.arange((dim - 2).bit_length())) & 1
+    return tuple(SignPattern(tuple(col)) for col in (1 - 2 * bits).T.tolist())
+
+
 def hadamard_slice_patterns(dim: int, pair_index: int) -> list[SignPattern]:
     """Orthogonal slice patterns cancelling every non-target coupling.
 
@@ -243,31 +251,16 @@ def hadamard_slice_patterns(dim: int, pair_index: int) -> list[SignPattern]:
     slice-average of s_i*s_k vanishes identically for every pair except
     the target, which always carries weight +1.
     """
-    _check_pair(pair_index, dim)
-    p = 1
-    while p < dim - 1:
-        p *= 2
-    rows = np.zeros(dim, dtype=int)
-    nxt = 1
-    for i in range(dim):
-        if i not in (pair_index - 1, pair_index):
-            rows[i] = nxt
-            nxt += 1
-    patterns = []
-    for t in range(p):
-        signs = tuple(
-            1 if bin(rows[i] & t).count("1") % 2 == 0 else -1 for i in range(dim)
-        )
-        patterns.append(SignPattern(signs))
-    return patterns
+    frames = _walsh_frames(_hadamard_generators(dim, pair_index), dim)
+    return [SignPattern(tuple(f)) for f in frames.tolist()]
 
 
-# Each decoupling scheme and the builder of its slice frames for (dim, pair_index).
-_FRAME_BUILDERS = {
-    "nn": lambda dim, pair: [SignPattern((1,) * dim), nn_isolation_pattern(dim, pair)],
-    "hadamard": hadamard_slice_patterns,
+# Each decoupling scheme and the builder of its generators for (dim, pair_index).
+_GENERATOR_BUILDERS = {
+    "nn": lambda dim, pair: (nn_isolation_pattern(dim, pair),),
+    "hadamard": _hadamard_generators,
 }
-SCHEMES = tuple(_FRAME_BUILDERS)
+SCHEMES = tuple(_GENERATOR_BUILDERS)
 
 
 def compile_beam_splitter(
@@ -307,11 +300,11 @@ def compile_beam_splitter(
             "coupling too weak for the requested angle"
         )
 
-    if scheme not in _FRAME_BUILDERS:
+    if scheme not in _GENERATOR_BUILDERS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    frames = _FRAME_BUILDERS[scheme](dim, pair_index)
-    tau = total / (n_sub * 2 * len(frames))
-    return PulseSchedule(dim, (DecouplingBlock(tau, frames, n_sub),))
+    generators = _GENERATOR_BUILDERS[scheme](dim, pair_index)
+    tau = total / (n_sub * 2 * 2 ** len(generators))
+    return PulseSchedule(dim, (DecouplingBlock(tau, generators, n_sub),))
 
 
 def compile_elements(
@@ -367,26 +360,27 @@ def _unitary_power(period: np.ndarray, n: int) -> np.ndarray:
 def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     """Exact unitary produced by a schedule under the full coupling matrix.
 
-    A slice in the diagonal sign frame S evolves as S exp(-i K tau) S, a block
-    as the product over one repetition to the power ``n_sub``
-    (:func:`_unitary_power`), and a phase event as a diagonal matrix.  Steps
-    compose in list order.
+    A slice in sign frame S evolves as S exp(-i K tau) S.  Per generator H_j of a
+    block, the forward product F becomes (H_j F H_j) F and the mirrored R becomes
+    R (H_j R H_j); the period R F goes to the power ``n_sub`` (:func:`_unitary_power`).
+    A phase event is a diagonal matrix.  Steps compose in list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
         raise ValueError(
             f"coupling dim {k.shape[0]} does not match schedule dim {schedule.dim}"
         )
+    w, v = np.linalg.eigh(k)  # once per call: exp(-i K t) = v exp(-i w t) v^dag
     total = np.eye(schedule.dim, dtype=complex)
     for step in schedule.steps:
         if isinstance(step, DecouplingBlock):
-            free = evolve_modes(k, step.tau)
-            period = np.eye(schedule.dim, dtype=complex)
-            for frame in step.frames + step.frames[::-1]:
-                period = (free * np.outer(frame.signs, frame.signs)) @ period
-            total = _unitary_power(period, step.n_sub) @ total
+            forward = mirror = (v * np.exp(-1j * w * step.tau)) @ v.conj().T
+            for g in step.generators:
+                flip = np.outer(g.signs, g.signs)
+                forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
+            total = _unitary_power(mirror @ forward, step.n_sub) @ total
         elif isinstance(step, EvolutionSegment):
-            total = evolve_modes(k, step.duration) @ total
+            total = (v * np.exp(-1j * w * step.duration)) @ v.conj().T @ total
         else:
             total[step.mode_index - 1, :] *= np.exp(1j * step.phi)
     return total

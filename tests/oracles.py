@@ -93,6 +93,29 @@ def fock_evolution_distribution(operator, inputs, duration=None) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
+def decoupling_frames(scheme: str, dim: int, pair: int) -> np.ndarray:
+    """The (P, dim) slice signs of a decoupling scheme isolating modes (pair,
+    pair + 1), written out slice by slice.
+
+    "nn": slice 0 all +1, slice 1 the echo pattern, whose sign flips at every
+    step away from the pair.  "hadamard": every other mode takes a row r = 1,
+    2, ... in ascending order (the pair shares row 0), and slice t of P, the
+    smallest power of two >= dim - 1, gives it the sign (-1)^popcount(r & t).
+    """
+    if scheme == "nn":
+        echo = [(-1) ** (pair - 1 - i) for i in range(pair - 1)] + [1, 1]
+        echo += [(-1) ** (i - pair) for i in range(pair + 1, dim)]
+        return np.array([[1] * dim, echo])
+    p = 1
+    while p < dim - 1:
+        p *= 2
+    rows, nxt = [0] * dim, 1
+    for i in range(dim):
+        if i not in (pair - 1, pair):
+            rows[i], nxt = nxt, nxt + 1
+    return np.array([[1 if bin(r & t).count("1") % 2 == 0 else -1 for r in rows] for t in range(p)])
+
+
 def balanced_splitter_pair_distribution() -> dict[tuple[int, int], float]:
     """Two photons on a balanced splitter: bunching with no coincidences.
 

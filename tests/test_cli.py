@@ -325,6 +325,41 @@ class TestFailureModes:
         )
         assert run("positions", config, tmp_path / "out") == 2
 
+    def test_numerical_failure_is_exit_1(self, tmp_path, capsys):
+        # 20 bunched bosons in 2 modes: Ryser's alternating sum over 2^20
+        # column subsets loses about seven digits, past the 1e-9 tolerance
+        config = write_config(
+            tmp_path,
+            chain={"num_ions": 2},
+            input={"occupations": [9, 11]},
+            target={"kind": "haar", "seed": 22},
+        )
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: exact distribution sums to 1+")
+        assert not (out / "distribution.json").exists()
+
+    def test_schedule_with_frames_is_exit_1(self, tmp_path, capsys):
+        # a block written in the earlier {"tau_s", "frames", "n_sub"} form
+        config = write_config(tmp_path, target={"kind": "haar", "seed": 5})
+        out = tmp_path / "out"
+        for stage in ("positions", "couplings", "decompose", "compile"):
+            assert run(stage, config, out, "--quiet") == 0
+        path = out / "schedule.json"
+        data = json.loads(path.read_text())
+        blocks = [entry["block"] for entry in data["steps"] if "block" in entry]
+        assert blocks
+        for block in blocks:
+            frames = np.ones((1, data["dim"]), dtype=int)
+            for g in block.pop("generators"):
+                frames = np.concatenate([frames, frames * g])
+            block["frames"] = frames.tolist()
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("simulate", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: cannot read schedule.json: ")
+        assert not (out / "simulated_unitary.json").exists()
+
     def test_verify_tolerance_violation_is_exit_3(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

@@ -1,15 +1,19 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionsampler.dd_compiler import (
+    _GENERATOR_BUILDERS,
+    SCHEMES,
     DecouplingBlock,
     EvolutionSegment,
     PhaseEvent,
     PulseSchedule,
+    _walsh_frames,
     compile_beam_splitter,
     compile_elements,
     compile_unitary,
@@ -25,6 +29,7 @@ from ionsampler.linear_optics import (
     beam_splitter_unitary,
     fourier_unitary,
     haar_unitary,
+    reck_decompose,
     unitary_distance,
 )
 
@@ -83,6 +88,19 @@ class TestSignPatterns:
             nn_isolation_pattern(3, 3)
         with pytest.raises(ValueError):
             hadamard_slice_patterns(3, 0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_generator_frames_match_reference(self, scheme):
+        # frames derived from the generators against the frames written out
+        # one slice at a time (parity of row & t)
+        for dim in range(2, 13):
+            for pair in range(1, dim):
+                reference = oracles.decoupling_frames(scheme, dim, pair)
+                frames = _walsh_frames(_GENERATOR_BUILDERS[scheme](dim, pair), dim)
+                np.testing.assert_array_equal(frames, reference)
+                if scheme == "hadamard":
+                    patterns = hadamard_slice_patterns(dim, pair)
+                    assert [p.signs for p in patterns] == [tuple(f) for f in reference.tolist()]
 
 
 class TestEchoPrimitive:
@@ -250,6 +268,34 @@ class TestSimulateSchedule:
         diff = simulate_schedule(k, schedule) - simulate_schedule(k, flat)
         assert np.max(np.abs(diff)) < 1e-12
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_expansion_matches_reference_frames(self, scheme):
+        # expand() against the flat list written from the reference frames of
+        # each block's pair: a pi event per mode whose sign changes, then tau
+        # of free evolution, merged into the segment before it
+        k = chain_coupling(5)
+        seq = reck_decompose(haar_unitary(5, seed=5))
+        schedule = compile_elements(k, seq, n_sub=3, scheme=scheme)
+        pairs = iter([e.pair_index for e in seq.elements if isinstance(e, BSElement) and e.theta > 0])
+        steps, elapsed = [], 0.0
+        for step in schedule.steps:
+            if isinstance(step, PhaseEvent):
+                steps.append(step)
+                continue
+            frames = oracles.decoupling_frames(scheme, 5, next(pairs)).tolist()
+            current = frames[0]
+            for frame in (frames + frames[::-1]) * step.n_sub:
+                flips = [m + 1 for m in range(5) if current[m] != frame[m]]
+                steps.extend(PhaseEvent(elapsed, mode, np.pi) for mode in flips)
+                if steps and isinstance(steps[-1], EvolutionSegment):
+                    steps[-1] = EvolutionSegment(steps[-1].duration + step.tau)
+                else:
+                    steps.append(EvolutionSegment(step.tau))
+                elapsed += step.tau
+                current = frame
+        assert next(pairs, None) is None
+        assert schedule.expand() == PulseSchedule(5, steps)
+
     @pytest.mark.parametrize("num_ions, omega_z_hz", [(24, 0.2e6), (32, 0.15e6)])
     def test_long_chains_stay_unitary(self, num_ions, omega_z_hz):
         # a 32-ion Haar target takes about 1e6 slice products, whose rounding
@@ -276,22 +322,19 @@ class TestScheduleSerialization:
         "defect, match",
         [
             ("sign", "signs must be"),
-            ("frame_length", "frame length"),
+            ("generator_length", "generator length"),
             ("n_sub", "n_sub >= 1"),
-            ("first_frame", "first frame"),
         ],
     )
     def test_malformed_block_rejected(self, defect, match):
         data = compile_beam_splitter(chain_coupling(4), 2, 1.0, n_sub=2).to_json()
         block = data["steps"][0]["block"]
         if defect == "sign":
-            block["frames"][1][0] = 0
-        elif defect == "frame_length":
-            block["frames"][1].append(1)
-        elif defect == "n_sub":
-            block["n_sub"] = 0
+            block["generators"][1][0] = 0
+        elif defect == "generator_length":
+            block["generators"][1].append(1)
         else:
-            block["frames"][0][3] = -1
+            block["n_sub"] = 0
         with pytest.raises(ValueError, match=match):
             PulseSchedule.from_json(data)
 
