@@ -30,6 +30,7 @@ Hayes et al., PRA 84, 062323 (2011)); :meth:`PulseSchedule.expand` writes it out
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,8 @@ class EvolutionSegment:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment duration must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError("segment duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,10 @@ class PhaseEvent:
     time: float
     mode_index: int
     phi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.time) and math.isfinite(self.phi)):
+            raise ValueError("phase event time and phi must be finite")
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,8 @@ class DecouplingBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.tau < 0 or self.n_sub < 1:
-            raise ValueError("a block needs tau >= 0 and n_sub >= 1")
+        if not (math.isfinite(self.tau) and self.tau >= 0 and self.n_sub >= 1):
+            raise ValueError("a block needs finite tau >= 0 and n_sub >= 1")
 
     @property
     def duration(self) -> float:
@@ -341,20 +346,12 @@ def compile_unitary(
 
 
 def _unitary_power(period: np.ndarray, n: int) -> np.ndarray:
-    """``period ** n`` for a period that is unitary up to rounding.
-
-    The period is replaced by its polar factor (the nearest unitary) and
-    raised to ``n`` in its complex Schur basis, with the eigenvalues put
-    back on the unit circle, so the rounding of the many slice products
-    does not compound over the repetitions.
-    """
-    # scipy is imported here, not with the package, to keep start-up fast
-    from scipy.linalg import schur
-
-    w, _, vh = np.linalg.svd(period)
-    t, z = schur(w @ vh, output="complex")
-    phases = np.diag(t) / np.abs(np.diag(t))
-    return (z * phases**n) @ z.conj().T
+    """``period ** n`` for a period that is unitary up to rounding: repeated squaring,
+    then one Newton-Schulz step x (3 - x^dag x) / 2 onto the nearest unitary (Bjorck &
+    Bowie, SIAM J. Numer. Anal. 8, 358 (1971)).  The step squares the unitarity defect,
+    so the rounding of the slice products does not compound over the repetitions."""
+    x = np.linalg.matrix_power(period, n)
+    return x @ (1.5 * np.eye(len(x)) - 0.5 * (x.conj().T @ x))
 
 
 def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
@@ -362,8 +359,9 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
 
     A slice in sign frame S evolves as S exp(-i K tau) S.  Per generator H_j of a
     block, the forward product F becomes (H_j F H_j) F and the mirrored R becomes
-    R (H_j R H_j); the period R F goes to the power ``n_sub`` (:func:`_unitary_power`).
-    A phase event is a diagonal matrix.  Steps compose in list order.
+    R (H_j R H_j); numpy matrix products raise the period R F to ``n_sub``
+    (:func:`_unitary_power`).  A phase event is a diagonal matrix.  Steps compose in
+    list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:

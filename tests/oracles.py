@@ -93,6 +93,52 @@ def fock_evolution_distribution(operator, inputs, duration=None) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
+def schedule_unitary_longdouble(rates, schedule) -> np.ndarray:
+    """The unitary of a compiled schedule under coupling ``rates``, evolved in
+    np.clongdouble (a 64-bit mantissa on x86, eps about 1e-19).
+
+    A slice exp(-i K t) is a 24-term Taylor series of -i K t halved until its
+    row-sum norm is at most 1/4, then squared back.  A block's forward product
+    takes F -> (S F S) F and its mirrored one R -> R (S R S) for each generator
+    S = diag(signs), and the period R F is raised to n_sub by binary powering.
+    A phase event multiplies its mode's row by exp(i phi).
+    """
+    k = np.asarray(rates, dtype=np.longdouble).astype(np.clongdouble)
+    eye = np.eye(len(k), dtype=np.clongdouble)
+
+    def evolve(t):
+        a, squarings = -1j * k * np.longdouble(t), 0
+        while np.abs(a).sum(axis=1).max() > 0.25:
+            a, squarings = a / 2, squarings + 1
+        out = term = eye
+        for j in range(1, 25):
+            term = term @ a / j
+            out = out + term
+        for _ in range(squarings):
+            out = out @ out
+        return out
+
+    total = eye
+    for step in schedule.steps:
+        if hasattr(step, "generators"):
+            forward = mirror = evolve(step.tau)
+            for g in step.generators:
+                s = np.diag(np.array(g.signs, dtype=np.longdouble)).astype(np.clongdouble)
+                forward, mirror = s @ forward @ s @ forward, mirror @ s @ mirror @ s
+            power, base, n = eye, mirror @ forward, step.n_sub
+            while n:
+                if n & 1:
+                    power = power @ base
+                base, n = base @ base, n >> 1
+            total = power @ total
+        elif hasattr(step, "phi"):
+            total = total.copy()
+            total[step.mode_index - 1, :] *= np.exp(1j * np.longdouble(step.phi))
+        else:
+            total = evolve(step.duration) @ total
+    return total
+
+
 def decoupling_frames(scheme: str, dim: int, pair: int) -> np.ndarray:
     """The (P, dim) slice signs of a decoupling scheme isolating modes (pair,
     pair + 1), written out slice by slice.

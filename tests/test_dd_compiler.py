@@ -296,6 +296,22 @@ class TestSimulateSchedule:
         assert next(pairs, None) is None
         assert schedule.expand() == PulseSchedule(5, steps)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="np.longdouble is no wider than float64 here, so the reference gains no digits",
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_sub", [1, 16, 63, 64])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("num_ions", [3, 5, 8])
+    def test_matches_extended_precision_reference(self, num_ions, scheme, n_sub, seed):
+        # the same compiled slices evolved in np.clongdouble: the float64
+        # route, powers of each period included, stays at rounding level
+        k = chain_coupling(num_ions)
+        schedule = compile_unitary(k, haar_unitary(num_ions, seed=seed), n_sub=n_sub, scheme=scheme)
+        reference = oracles.schedule_unitary_longdouble(k.rates, schedule)
+        assert np.max(np.abs(simulate_schedule(k, schedule) - reference)) < 2e-13
+
     @pytest.mark.parametrize("num_ions, omega_z_hz", [(24, 0.2e6), (32, 0.15e6)])
     def test_long_chains_stay_unitary(self, num_ions, omega_z_hz):
         # a 32-ion Haar target takes about 1e6 slice products, whose rounding
@@ -324,6 +340,7 @@ class TestScheduleSerialization:
             ("sign", "signs must be"),
             ("generator_length", "generator length"),
             ("n_sub", "n_sub >= 1"),
+            ("tau", "finite tau"),
         ],
     )
     def test_malformed_block_rejected(self, defect, match):
@@ -333,6 +350,8 @@ class TestScheduleSerialization:
             block["generators"][1][0] = 0
         elif defect == "generator_length":
             block["generators"][1].append(1)
+        elif defect == "tau":
+            block["tau_s"] = float("nan")
         else:
             block["n_sub"] = 0
         with pytest.raises(ValueError, match=match):
@@ -341,6 +360,17 @@ class TestScheduleSerialization:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             EvolutionSegment(-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EvolutionSegment(float("nan")),
+        lambda: EvolutionSegment(float("inf")),
+        lambda: PhaseEvent(float("nan"), 1, 0.1),
+        lambda: PhaseEvent(0.0, 1, float("nan")),
+        lambda: PhaseEvent(0.0, 1, float("inf")),
+    ], ids=["segment-nan", "segment-inf", "event-time-nan", "phase-nan", "phase-inf"])
+    def test_non_finite_value_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_event_beyond_elapsed_rejected(self):
         with pytest.raises(ValueError):
