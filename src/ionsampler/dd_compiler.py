@@ -206,7 +206,7 @@ class PulseSchedule:
                 raise ValueError(f"unknown step entry {entry!r}")
         schedule = cls(int(data["dim"]), tuple(steps))
         declared = float(data["total_s"])
-        if abs(schedule.total_duration - declared) > 1e-9 * max(1.0, declared):
+        if not abs(schedule.total_duration - declared) <= 1e-9 * max(1.0, declared):
             raise ValueError("declared total_s does not match summed segments and blocks")
         return schedule
 

@@ -381,7 +381,8 @@ class TestScheduleSerialization:
             PulseSchedule(2, (EvolutionSegment(1.0),)),
             compile_beam_splitter(chain_coupling(4), 2, 1.0, n_sub=2),
         ):
-            data = schedule.to_json()
-            data["total_s"] = 2.0 * data["total_s"]
-            with pytest.raises(ValueError):
-                PulseSchedule.from_json(data)
+            for declared in (2.0 * schedule.total_duration, float("nan")):
+                data = schedule.to_json()
+                data["total_s"] = declared
+                with pytest.raises(ValueError):
+                    PulseSchedule.from_json(data)
