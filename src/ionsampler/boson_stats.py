@@ -38,7 +38,6 @@ __all__ = [
     "OutcomeDistribution",
     "NormalizationError",
     "exact_distribution",
-    "fock_generator_entries",
     "fock_oracle_refusal",
     "fock_oracle_distribution",
     "check_samples",
@@ -54,13 +53,14 @@ __all__ = [
 RYSER_MAX_DIM = 30
 # Largest |sum of probabilities - 1| a computed distribution may show.
 NORMALIZATION_TOL = 1e-9
-# The guard counts the stored entries of the lifted generator
-# (fock_generator_entries), M - 1 per raised state the oracle's last step holds
-# (M per state of one boson fewer), so the oracle's memory follows that count:
-# one call took 62 MB above the 36 MB of the interpreter and numpy at M = 20,
-# N = 5 (3.4e6 entries; 98 MB RSS peak) and 46 MB at M = 8, N = 12 (1.8e6;
-# 81 MB).  It admits every basis of up to 5e4 states on up to 20 modes.
-FOCK_MAX_ENTRIES = 3_500_000
+# The guard counts the entries of the raised-state table that the oracle's
+# last step holds: M rows of M entries for each of the C(N + M - 2, N - 1)
+# states of one boson fewer.  The most among the bases of up to 5e4 states on
+# up to 20 modes, 3.54e6 at M = 20, N = 5, peaked at 49 MB RSS in a fresh
+# process, 20 MB above the interpreter and numpy.  The step's weights and ranks
+# take tens of bytes per raised row (M entries), so fewer modes cost more per
+# entry: M = 8, N = 12 (2.0e6 entries, 2.5e5 rows) peaked at 56 MB.
+FOCK_MAX_ENTRIES = 3_600_000
 # At M = 16, N = 8 (490 314 outcomes, Haar, each run alone in a fresh process
 # on 2 CPUs) the outcome table is 7.8 MB and exact_distribution takes 1.3-1.5 s
 # and peaks at 66 MB RSS, 30 MB above the interpreter and numpy.  The stages
@@ -72,8 +72,10 @@ OUTCOME_MAX_COUNT = 500_000
 CSV_BLOCK_LINES = 1 << 16
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # Complex entries per array in the chunked Ryser product (256 kB, cache-sized),
-# and outcomes per chunk of row indices.  The only larger arrays, the subset
-# row-sum tables, stay under 16 MB for a single permanent at n = 30.
+# and outcomes per chunk of row indices.  The only larger arrays hold subset
+# row sums: those of each half stay under 16 MB for a single permanent at
+# n = 30, and at n <= 13 the table of every row's sums over all subsets holds
+# 2^n entries per row, at most 1.7 MB (13 rows at n = 13).
 RYSER_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -100,13 +102,10 @@ def _prefix_levels(rows: np.ndarray, step: int):
     over the row indices finds every level.  Equal prefixes that are not
     adjacent are kept twice, which costs time but never correctness.
 
-    Returns four things.  ``parent`` and ``index`` hold, for every prefix,
-    the chunk-local index of its parent on the level before and of its last
-    row among its level's distinct rows.  ``chunks`` holds per chunk its
-    distinct rows (those of each level in increasing order, level after
-    level) and per level the bounds of its prefixes in ``parent`` and
-    ``index``, whether those end in the level's distinct rows in order, and
-    the bounds of those rows.  ``full`` is the chunk-local index of each
+    Returns four things.  ``parent`` and ``last`` hold, for every prefix, the
+    chunk-local index of its parent on the level before and its last row.
+    ``bounds[c * n + i]`` and ``bounds[c * n + i + 1]`` bound the prefixes of
+    level i of chunk c in them.  ``full`` is the chunk-local index of each
     row's full prefix.
     """
     count, n = rows.shape
@@ -114,8 +113,7 @@ def _prefix_levels(rows: np.ndarray, step: int):
     # is gathered.  Its levels are built here without the fixed cost of the
     # pass below, a tenth of an n = 15 permanent.
     if step == 1:
-        levels = [(0, 1, True, i, i + 1) for i in range(n)]
-        return None, None, [(row, levels) for row in rows], np.zeros(count, dtype=np.intp)
+        return None, rows.ravel(), range(count * n + 1), np.zeros(count, dtype=np.intp)
     starts = np.zeros((-(-count // step) * step, n + 1), dtype=bool)  # column 0: empty prefix
     np.not_equal(rows[1:], rows[:-1], out=starts[1:count, 1:])
     starts[::step, 0] = True
@@ -123,35 +121,10 @@ def _prefix_levels(rows: np.ndarray, step: int):
     ids = np.cumsum(starts, axis=1, dtype=np.int32).reshape(-1, n + 1) - 1
     # every prefix, grouped by chunk and then level, in row order in a group
     chunk, level, pos = np.nonzero(starts[:, :, 1:].transpose(0, 2, 1))
-    group = chunk * n + level
     first_row = chunk * step + pos
-    parent, key = ids[first_row, level], rows[first_row, level]
-    # the distinct last rows of each group, marked in a (group, row) table of
-    # chunks x n x M entries: at most 1.1e6 (10 MB with its ranks) for any
-    # distribution under the outcome guard, at N = 13 in M = 10 modes
-    width = int(rows.max(initial=0)) + 1
-    key += group * width
-    seen = np.zeros(len(starts) * n * width, dtype=bool)
-    seen[key] = True
-    rank = np.cumsum(seen)
-    row_bounds = np.concatenate(([0], rank[width - 1::width]))
-    index = rank[key] - 1 - row_bounds[group]
-    # a group's last rows are its distinct rows in order where they increase
-    in_order = (np.bincount(group[1:], np.diff(key) <= 0, len(row_bounds)) == 0).tolist()
-    distinct = np.flatnonzero(seen) % width
-    prefix_bounds = np.searchsorted(group, np.arange(len(row_bounds))).tolist()
-    row_bounds = row_bounds.tolist()
-
-    chunks = []  # bounds as plain integers: a view per level held 0.7 MB more at n = 8
-    for c in range(len(starts)):
-        g, base = c * n, row_bounds[c * n]
-        levels = [
-            (prefix_bounds[k], prefix_bounds[k + 1], in_order[k],
-             row_bounds[k] - base, row_bounds[k + 1] - base)
-            for k in range(g, g + n)
-        ]
-        chunks.append((distinct[base:row_bounds[g + n]], levels))
-    return parent, index, chunks, ids[:count, n]
+    # bounds as plain integers: a view per level held 0.7 MB more at n = 8
+    bounds = np.searchsorted(chunk * n + level, np.arange(len(starts) * n + 1)).tolist()
+    return ids[first_row, level], rows[first_row, level], bounds, ids[:count, n]
 
 
 def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -164,12 +137,13 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     gathers its n rows from them (a repeated row index is a repeated row).
     Consecutive permanents that share their first rows share the product of
     those rows' sums: level by level, each distinct prefix (`_prefix_levels`)
-    takes its parent's product times its last row's sums, which are added
-    once per distinct row of the level, and the finished products are summed
-    once and gathered back to the permanents.  In the canonical outcome order
-    neighbours share long prefixes; any order gives the same values.  The
-    products are chunked over permanents and high-half subsets, at most
-    RYSER_CHUNK_ELEMENTS complex entries per array.
+    takes its parent's product times its last row's sums, and the finished
+    products are summed once and gathered back to the permanents.  In the
+    canonical outcome order neighbours share long prefixes; any order gives
+    the same values.  The products are chunked over permanents and high-half
+    subsets, at most RYSER_CHUNK_ELEMENTS complex entries per array; the
+    high-half steps are the outer loop, so each step's row sums are added
+    once for all chunks.
     """
     n = cols.shape[1]
     if n > RYSER_MAX_DIM:
@@ -181,33 +155,39 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     sums_hi = cols[:, low:] @ member_hi
     step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS >> low))
     step = max(1, RYSER_CHUNK_ELEMENTS // (step_hi << low))
-    parent, index, chunks, full = _prefix_levels(rows, step)  # its peak before the buffers
-    # the products, a spare for gathering them (which holds a level's row
-    # sums gathered to its prefixes once the products are gathered) and the
-    # level's row sums, reused throughout: a fresh array per level would cost
-    # more than its arithmetic.  They are allocated apart: as slices of one
-    # block they lie a multiple of 4 kB apart, which made n = 20 up to 10%
-    # slower.  Gathers pass mode="clip" because their indices are in range
-    # and the default mode would buffer the copy.
+    parent, last, bounds, full = _prefix_levels(rows, step)  # its peak before the buffers
+    # the products, a spare for gathering them and the level's row sums,
+    # reused throughout: a fresh array per level would cost more than its
+    # arithmetic.  They are allocated apart: as slices of one block they lie
+    # a multiple of 4 kB apart, which made n = 20 up to 10% slower.  Gathers
+    # pass mode="clip" because their indices are in range and the default
+    # mode would buffer the copy.
     shape = (min(step, len(rows)), step_hi, 1 << low)
-    prods, spare, table = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+    prods, spare, row_sums = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+    # With several permanents per chunk (n <= 13), each high-half step adds
+    # the two halves once for every row of ``cols`` into one table, and each
+    # level gathers its prefixes' last rows from it.  With one per chunk
+    # (n >= 14) each level adds its one row's halves in a cache-sized buffer
+    # instead: there the table is len(cols) times larger, out of cache, and
+    # made n = 20 take 88-105 ms instead of 52-69 ms.
+    table = np.empty((len(cols), *shape[1:]), dtype=np.complex128) if step > 1 else None
     total = np.zeros(len(rows), dtype=np.complex128)
-    for first, (distinct, levels) in zip(range(0, len(rows), step), chunks):
-        lo = sums_lo[distinct, None, :]
-        for start in range(0, sums_hi.shape[1], step_hi):
-            hi = sums_hi[distinct, start:start + step_hi, None]
+    for start in range(0, sums_hi.shape[1], step_hi):
+        hi = sums_hi[:, start:start + step_hi, None]
+        if table is not None:
+            np.add(hi, sums_lo[:, None, :], out=table)
+        for c, first in enumerate(range(0, len(rows), step)):
             terms = prods[:1]
             terms.fill(1)
-            for p0, p1, in_order, a, b in levels:
+            for k in range(c * n, c * n + n):
+                p0, p1 = bounds[k], bounds[k + 1]
                 if p1 - p0 > len(terms):  # else every prefix has one child
                     terms = np.take(terms, parent[p0:p1], axis=0, out=spare[:p1 - p0], mode="clip")
                     prods, spare = spare, prods
-                row_sums = np.add(hi[a:b], lo[a:b], out=table[:b - a])
-                if not in_order:
-                    row_sums = np.take(
-                        row_sums, index[p0:p1], axis=0, out=spare[:p1 - p0], mode="clip"
-                    )
-                terms *= row_sums
+                if table is None:
+                    terms *= np.add(hi[last[p0]], sums_lo[last[p0], None, :], out=row_sums[0])
+                else:
+                    terms *= np.take(table, last[p0:p1], axis=0, out=row_sums[:p1 - p0], mode="clip")
             sums = (terms @ sign_lo) @ sign_hi[start:start + step_hi]
             total[first:first + step] += sums[full[first:first + step]]
     return -total if n & 1 else total
@@ -266,7 +246,10 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     t = _occupation(inputs, u.shape[1])
     if sum(s) != sum(t):
         raise ValueError(f"boson totals differ: outcome {sum(s)}, inputs {sum(t)}")
-    return float(_probabilities(u, np.array([s]), t)[0])
+    # only the occupied output modes: the kernel adds row sums for every row
+    # it is given, 51 MB of them at M = 400, n = 13
+    occupied = np.flatnonzero(s)
+    return float(_probabilities(u[occupied], np.array([s])[:, occupied], t)[0])
 
 
 def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
@@ -381,30 +364,20 @@ def exact_distribution(
     return _distribution_from_probs(table, "exact", _probabilities(u, table, t), norm_tol)
 
 
-def fock_generator_entries(num_modes: int, num_bosons: int) -> int:
-    """Stored entries of the lifted generator on N bosons in M modes.
-
-    The diagonal holds one entry per basis state, and every state with a
-    boson in mode j has one off-diagonal entry per hop j -> i != j.
-    """
-    states = comb(num_bosons + num_modes - 1, num_bosons)
-    occupied = comb(num_bosons + num_modes - 2, num_bosons - 1) if num_bosons else 0
-    return num_modes * (num_modes - 1) * occupied + states
-
-
 def fock_oracle_refusal(num_modes: int, num_bosons: int) -> str | None:
     """Why the Fock oracle refuses N bosons in M modes, or None if it runs them.
 
-    The guard, FOCK_MAX_ENTRIES, bounds the generator's stored entries,
-    which set the oracle's memory (see FOCK_MAX_ENTRIES).
+    The guard, FOCK_MAX_ENTRIES, bounds the entries of the raised states the
+    oracle's last step holds, which set its memory (see FOCK_MAX_ENTRIES).
     """
-    entries = fock_generator_entries(num_modes, num_bosons)
+    raised = comb(num_bosons + num_modes - 2, num_bosons - 1) if num_bosons else 0
+    entries = num_modes * num_modes * raised
     if entries <= FOCK_MAX_ENTRIES:
         return None
     states = comb(num_bosons + num_modes - 1, num_bosons)
     return (
-        f"Fock generator of {num_bosons} bosons in {num_modes} modes has {entries} "
-        f"entries ({states} states), which exceeds guard {FOCK_MAX_ENTRIES}"
+        f"Fock oracle of {num_bosons} bosons in {num_modes} modes raises {entries} "
+        f"entries in its last step ({states} states), which exceeds guard {FOCK_MAX_ENTRIES}"
     )
 
 

@@ -23,7 +23,6 @@ from ionsampler.boson_stats import (
     empirical_distribution,
     enumerate_outcomes,
     exact_distribution,
-    fock_generator_entries,
     fock_oracle_distribution,
     fock_oracle_refusal,
     outcome_probability,
@@ -182,6 +181,20 @@ class TestOutcomeProbability:
         with pytest.raises(ValueError, match="nonnegative"):
             outcome_probability(np.eye(2), (1, 0), (2, -1))
 
+    def test_memory_follows_the_occupied_modes(self):
+        # 13 bosons in 400 modes: the kernel's row sums over all 400 rows
+        # would take 54 MB, over the 13 occupied output modes about 2.5 MB
+        u = haar_unitary(400, seed=2)
+        s, t = (1,) * 13 + (0,) * 387, (0,) * 387 + (1,) * 13
+        tracemalloc.start()
+        try:
+            p = outcome_probability(u, s, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert p == pytest.approx(abs(permanent_ryser(u[:13, 387:])) ** 2, rel=1e-10)
+
     def test_relabeling_covariance(self):
         a = haar_unitary(4, seed=13)
         perm = [2, 0, 3, 1]
@@ -272,7 +285,9 @@ class TestDistributions:
 
     def test_haar_matches_fock_oracle(self):
         # unbunched, then bunched inputs (repeated columns of the permanent)
-        for inputs in [(1, 1, 1, 0), (2, 1, 0, 0, 0), (0, 3, 0, 1)]:
+        # (5, 5, 4) has n = 14, one permanent per kernel chunk
+        for inputs in [(1, 1, 1, 0), (2, 1, 0, 0, 0), (0, 3, 0, 1), (1,) * 8, (4, 4, 4, 0),
+                       (5, 5, 4)]:
             u = haar_unitary(len(inputs), seed=21)
             exact = exact_distribution(u, inputs)
             oracle = fock_oracle_distribution(u, inputs)
@@ -387,19 +402,14 @@ class TestDistributions:
         assert peak < 1_000_000
 
     def test_fock_dimension_guard(self, monkeypatch):
-        # (2, 2, 2): 28 states and 6 * C(7, 5) + 28 = 154 generator entries
-        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 153)
-        with pytest.raises(ValueError, match="154 entries .28 states., which exceeds guard 153"):
+        # (2, 2, 2): 28 states, and the last step raises each of the C(7, 5)
+        # states of 5 bosons in 3 ways, 9 * 21 = 189 entries
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 188)
+        with pytest.raises(ValueError, match="189 entries in its last step .28 states., which "
+                           "exceeds guard 188"):
             fock_oracle_distribution(np.eye(3), (2, 2, 2))
-        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 154)
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 189)
         assert fock_oracle_distribution(np.eye(3), (2, 2, 2)).total == pytest.approx(1.0)
-
-    def test_generator_entries_closed_form(self):
-        for m, n in ((4, 4), (8, 6), (6, 8), (12, 3), (5, 1), (1, 3)):
-            h = scipy.linalg.logm(haar_unitary(m, seed=m + n)) * 1j
-            h = (h + h.conj().T) / 2
-            lifted = oracles.lifted_generator(h, oracles.fock_basis(m, n))
-            assert np.count_nonzero(lifted) == fock_generator_entries(m, n), (m, n)
 
     def test_entry_guard_admits_the_old_basis_guard_up_to_20_modes(self):
         # every basis the former 5e4-state guard admitted on up to 20 modes
@@ -408,12 +418,12 @@ class TestDistributions:
                 if comb(n + m - 1, n) <= 50_000:
                     assert fock_oracle_refusal(m, n) is None, (m, n)
         assert fock_oracle_refusal(8, 6) is None  # haar8 and demo4 still run the oracle
-        assert fock_oracle_refusal(30, 4) is not None  # 40 920 states, 4.36e6 entries
+        assert fock_oracle_refusal(30, 4) is not None  # 40 920 states, 4.46e6 entries
 
     def test_fock_guard_refuses_before_allocating(self):
         # M = N = 20 has C(39, 19) ~ 6.9e10 states, and M = 30, N = 4 only
-        # 40 920 but 4.36e6 generator entries; the guard must trip on the
-        # count alone, before any basis, generator or import is built
+        # 40 920 but 4.46e6 raised entries; the guard must trip on the
+        # count alone, before any state table is built
         for m, n in ((20, 20), (30, 4)):
             u = haar_unitary(m, seed=0)
             tracemalloc.start()

@@ -184,13 +184,13 @@ class TestVerifySkips:
     def test_over_guard_basis_is_reported(self, tmp_path, monkeypatch):
         cfg = make_config()
         self.run_through_distribution(cfg, tmp_path)
-        # the 10-state basis of 3 bosons in 3 modes has 46 generator entries
-        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 45)
+        # 3 bosons in 3 modes (10 states) raise 9 * C(4, 2) = 54 entries
+        monkeypatch.setattr(boson_stats, "FOCK_MAX_ENTRIES", 53)
         report = pipeline.run_pipeline(cfg, ("verify",), tmp_path, quiet=True)
         assert "tvd_exact_vs_oracle" not in report
         assert report["skipped"] == {
-            "tvd_exact_vs_oracle": "Fock generator of 3 bosons in 3 modes has 46 entries "
-            "(10 states), which exceeds guard 45"
+            "tvd_exact_vs_oracle": "Fock oracle of 3 bosons in 3 modes raises 54 entries "
+            "in its last step (10 states), which exceeds guard 53"
         }
         on_disk = json.loads((tmp_path / "verify_report.json").read_text())
         assert on_disk["skipped"] == report["skipped"]
