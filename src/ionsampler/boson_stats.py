@@ -7,10 +7,10 @@ and columns follow inputs, so for a single boson the formula reduces to
 |U_ji|^2 = |(U e_i)_j|^2, the evolve-and-measure amplitude.
 
 Two independent routes compute each distribution: the permanent route
-(Ryser's inclusion-exclusion over column subsets, in one batched pass
-over all outcomes, since every A of one input has the same columns;
-outcomes next to each other in the canonical order share their first
-rows, and with them the products of those rows' subset sums) and a
+(Glynn's formula over column sign vectors, in one batched pass over all
+outcomes, since every A of one input has the same columns; outcomes next
+to each other in the canonical order share their first rows, and with
+them the products of those rows' signed sums) and a
 many-body route (`fock_oracle_distribution`) that builds the output state
 in the full bosonic Fock space, applying to the vacuum one creation
 operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
@@ -71,11 +71,11 @@ OUTCOME_MAX_COUNT = 500_000
 # joined and written at once, so memory does not grow with the sample count.
 CSV_BLOCK_LINES = 1 << 16
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
-# Complex entries per array in the chunked Ryser product (256 kB, cache-sized),
-# and outcomes per chunk of row indices.  The only larger arrays hold subset
+# Complex entries per array in the chunked Glynn product (256 kB, cache-sized),
+# and outcomes per chunk of row indices.  The only larger arrays hold signed
 # row sums: those of each half stay under 16 MB for a single permanent at
-# n = 30, and at n <= 13 the table of every row's sums over all subsets holds
-# 2^n entries per row, at most 1.7 MB (13 rows at n = 13).
+# n = 30, and at n <= 14 the table of every row's sums over all sign vectors
+# holds 2^(n-1) entries per row, at most 1.8 MB (14 rows at n = 14).
 RYSER_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -84,13 +84,14 @@ class NormalizationError(RuntimeError):
 
 
 @lru_cache(maxsize=8)
-def _column_subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Membership (k, 2^k) of every subset of k columns, and its parity sign."""
-    member = (np.arange(1 << k)[None, :] >> np.arange(k)[:, None]) & 1
-    signs = 1.0 - 2.0 * (member.sum(axis=0) & 1)
-    member = member.astype(np.complex128)
-    member.flags.writeable = signs.flags.writeable = False  # shared by the cache
-    return member, signs
+def _sign_vectors(k: int, fix_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Every +-1 vector on k columns (k, 2^k) and the product of its signs;
+    with ``fix_first`` only those whose first sign is +1 (k, 2^(k-1))."""
+    minus = (np.arange(0, 1 << k, 2 if fix_first else 1)[None, :] >> np.arange(k)[:, None]) & 1
+    signs = 1.0 - 2.0 * (minus.sum(axis=0) & 1)
+    delta = (1.0 - 2.0 * minus).astype(np.complex128)
+    delta.flags.writeable = signs.flags.writeable = False  # shared by the cache
+    return delta, signs
 
 
 def _prefix_levels(rows: np.ndarray, step: int):
@@ -128,33 +129,38 @@ def _prefix_levels(rows: np.ndarray, step: int):
 
 
 def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Permanents of the n x n matrices cols[rows[b]], by Ryser's formula.
+    """Permanents of the n x n matrices cols[rows[b]], by Glynn's formula.
 
-    Per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij, meet-in-the-middle:
-    each column subset S is a low-half subset joined with a high-half one, so
-    its row sums add the two halves' row sums.  Those are taken once for every
-    row of ``cols`` by one 0/1 matrix product per half, and each permanent
-    gathers its n rows from them (a repeated row index is a repeated row).
+    Per(A) = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j a_ij over sign
+    vectors d in {+1, -1}^n with d_1 = +1 (Glynn, Eur. J. Combin. 31, 1887
+    (2010)), meet-in-the-middle: each d joins a vector on the low n // 2 + 1
+    columns (d_1 among them) with one on the rest, so its row sums add the two
+    halves' row sums.  Those are taken once for every row of ``cols`` by one
+    +-1 matrix product per half, and each permanent gathers its n rows from
+    them (a repeated row index is a repeated row).
     Consecutive permanents that share their first rows share the product of
     those rows' sums: level by level, each distinct prefix (`_prefix_levels`)
     takes its parent's product times its last row's sums, and the finished
     products are summed once and gathered back to the permanents.  In the
     canonical outcome order neighbours share long prefixes; any order gives
     the same values.  The products are chunked over permanents and high-half
-    subsets, at most RYSER_CHUNK_ELEMENTS complex entries per array; the
+    vectors, at most RYSER_CHUNK_ELEMENTS complex entries per array; the
     high-half steps are the outer loop, so each step's row sums are added
     once for all chunks.
     """
     n = cols.shape[1]
     if n > RYSER_MAX_DIM:
         raise ValueError(f"permanent guard: n={n} exceeds limit {RYSER_MAX_DIM}")
-    low = (n + 1) // 2
-    member_lo, sign_lo = _column_subsets(low)
-    member_hi, sign_hi = _column_subsets(n - low)
-    sums_lo = cols[:, :low] @ member_lo
-    sums_hi = cols[:, low:] @ member_hi
-    step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS >> low))
-    step = max(1, RYSER_CHUNK_ELEMENTS // (step_hi << low))
+    if n == 0:
+        return np.ones(len(rows), dtype=np.complex128)
+    low = n // 2 + 1
+    delta_lo, sign_lo = _sign_vectors(low, fix_first=True)
+    delta_hi, sign_hi = _sign_vectors(n - low)
+    sums_lo = cols[:, :low] @ delta_lo
+    sums_hi = cols[:, low:] @ delta_hi
+    width = sums_lo.shape[1]
+    step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS // width))
+    step = max(1, min(len(rows), RYSER_CHUNK_ELEMENTS // (step_hi * width)))
     parent, last, bounds, full = _prefix_levels(rows, step)  # its peak before the buffers
     # the products, a spare for gathering them and the level's row sums,
     # reused throughout: a fresh array per level would cost more than its
@@ -162,14 +168,14 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # a multiple of 4 kB apart, which made n = 20 up to 10% slower.  Gathers
     # pass mode="clip" because their indices are in range and the default
     # mode would buffer the copy.
-    shape = (min(step, len(rows)), step_hi, 1 << low)
+    shape = (step, step_hi, width)
     prods, spare, row_sums = (np.empty(shape, dtype=np.complex128) for _ in range(3))
-    # With several permanents per chunk (n <= 13), each high-half step adds
+    # With several permanents per chunk (n <= 14), each high-half step adds
     # the two halves once for every row of ``cols`` into one table, and each
     # level gathers its prefixes' last rows from it.  With one per chunk
-    # (n >= 14) each level adds its one row's halves in a cache-sized buffer
-    # instead: there the table is len(cols) times larger, out of cache, and
-    # made n = 20 take 88-105 ms instead of 52-69 ms.
+    # (n >= 15, or a single permanent) each level adds its one row's halves
+    # in a cache-sized buffer instead: there the table is len(cols) times
+    # larger, out of cache, and made n = 20 take 88-105 ms instead of 52-69 ms.
     table = np.empty((len(cols), *shape[1:]), dtype=np.complex128) if step > 1 else None
     total = np.zeros(len(rows), dtype=np.complex128)
     for start in range(0, sums_hi.shape[1], step_hi):
@@ -190,13 +196,13 @@ def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
                     terms *= np.take(table, last[p0:p1], axis=0, out=row_sums[:p1 - p0], mode="clip")
             sums = (terms @ sign_lo) @ sign_hi[start:start + step_hi]
             total[first:first + step] += sums[full[first:first + step]]
-    return -total if n & 1 else total
+    return total / (1 << (n - 1))
 
 
 def permanent_ryser(matrix) -> complex:
-    """Matrix permanent by Ryser's formula over all column subsets.
+    """Matrix permanent by Glynn's formula over the sign vectors with d_1 = +1.
 
-    O(2^n * n) time; guarded at n <= 30 to keep runtimes bounded.
+    O(2^(n-1) * n) time; guarded at n <= 30 to keep runtimes bounded.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -215,7 +221,7 @@ def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
 
 def _probabilities(u: np.ndarray, table: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
     """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, a row of ``table``,
-    by batched Ryser.
+    by batched Glynn.
 
     Rows of A_S follow the outcome and columns follow the inputs (see the
     module docstring), so every A_S takes its columns from the same

@@ -76,7 +76,7 @@ def test_criterion_01_permanent_correctness():
     report(
         1,
         worst < 1e-10 and elapsed < 2.0,
-        f"Ryser vs O(n!) reference max rel err {worst:.2e} over 500 matrices (tol 1e-10); "
+        f"Glynn kernel vs O(n!) reference max rel err {worst:.2e} over 500 matrices (tol 1e-10); "
         f"n=20 in {elapsed:.3f} s (limit 2 s)",
     )
 

@@ -71,17 +71,21 @@ class TestPermanents:
             permanent_ryser(a), rel=1e-10, abs=1e-12
         )
 
-    # Odd and even sizes with more than RYSER_CHUNK_ELEMENTS column subsets,
-    # so the kernel sums several chunks; the expected values are closed forms.
-    CHUNKED = {15: (5, 5, 5), 20: (7, 7, 6)}
+    # Odd and even sizes with more than RYSER_CHUNK_ELEMENTS sign vectors
+    # (2^(n-1)), so the kernel sums several chunks; the expected values are
+    # closed forms.
+    CHUNKED = {17: (6, 6, 5), 20: (7, 7, 6)}
 
     @pytest.mark.parametrize("n", sorted(CHUNKED))
     def test_chunked_all_ones_gives_factorial(self, n):
-        assert 2**n > RYSER_CHUNK_ELEMENTS
-        # Ryser's terms for the all-ones matrix are C(n,k) k^n with alternating
-        # signs; they add in magnitude to cond * n!, so rounding alone gives a
-        # relative error of order eps * cond (4e-9 at n = 15, 2e-6 at n = 20).
-        cond = sum(comb(n, k) * k**n for k in range(n + 1)) / factorial(n)
+        assert 2 ** (n - 1) > RYSER_CHUNK_ELEMENTS
+        # Glynn's terms for the all-ones matrix are C(n-1,k) (n-2k)^n / 2^(n-1)
+        # with alternating signs; they add in magnitude to cond * n!, so
+        # rounding alone gives a relative error of order eps * cond (4e-14 at
+        # n = 17, 1e-13 at n = 20).
+        cond = sum(comb(n - 1, k) * abs(n - 2 * k) ** n for k in range(n)) / (
+            2 ** (n - 1) * factorial(n)
+        )
         assert permanent_ryser(np.ones((n, n))) == pytest.approx(
             factorial(n), rel=16 * np.finfo(float).eps * cond
         )
@@ -104,9 +108,9 @@ class TestPermanents:
         got = permanent_ryser(scipy.linalg.block_diag(*blocks))
         assert got == pytest.approx(expected, rel=1e-10)
 
-    # Every row-index tuple of 4 rows out of 6, in lexicographic order: the
-    # kernel's chunk of 1024 permanents at n = 4 ends between (4,4,2,3) and
-    # (4,4,2,4), so a shared prefix straddles the seam.  Shuffled, reversed
+    # Every row-index tuple of 4 rows out of 7, in lexicographic order: the
+    # kernel's chunk of 2048 permanents at n = 4 ends between (5,6,5,3) and
+    # (5,6,5,4), so a shared prefix straddles the seam.  Shuffled, reversed
     # and repeated rows show that sharing never relies on that order.
     ROW_ORDERS = {
         "lexicographic": lambda rows, rng: rows,
@@ -118,9 +122,9 @@ class TestPermanents:
     @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
     def test_batched_rows_match_reference(self, order):
         rng = np.random.default_rng(11)
-        cols = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        lexicographic = np.array(list(itertools.product(range(6), repeat=4)))
-        assert tuple(lexicographic[RYSER_CHUNK_ELEMENTS // 16 - 1]) == (4, 4, 2, 3)
+        cols = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+        lexicographic = np.array(list(itertools.product(range(7), repeat=4)))
+        assert tuple(lexicographic[RYSER_CHUNK_ELEMENTS // 8 - 1]) == (5, 6, 5, 3)
         rows = self.ROW_ORDERS[order](lexicographic, rng)
         reference = {
             tuple(r): oracles.permanent_reference(cols[list(r)]) for r in lexicographic
@@ -358,6 +362,15 @@ class TestDistributions:
         assert len(oracle.outcomes) == 1716
         assert total_variation_distance(exact, oracle) < 1e-8
 
+    def test_bunched_twenty_bosons_match_fock_oracle(self):
+        # n = 20 permanents with rows and columns repeated 9 and 11 times: an
+        # alternating sum over all 2^20 column subsets lost seven digits here,
+        # past the 1e-9 normalization check that exact_distribution applies
+        u = haar_unitary(2, seed=22)
+        exact = exact_distribution(u, (9, 11))
+        oracle = fock_oracle_distribution(u, (9, 11))
+        assert total_variation_distance(exact, oracle) < 1e-12
+
     def test_outcomes_past_one_chunk_match_reference(self):
         # 18 564 outcomes take two chunks of row indices: check both sides of
         # the seam and the last outcome against the O(n!) permanent
@@ -377,8 +390,8 @@ class TestDistributions:
         assert dist.probabilities == pytest.approx([1.0])
 
     def test_permanent_guard_before_subset_tables(self):
-        # 31 bosons make 31 x 31 permanents, over the Ryser guard; the subset
-        # tables at n = 31 would take tens of MB
+        # 31 bosons make 31 x 31 permanents, over the permanent guard; the sign
+        # vector tables at n = 31 would take tens of MB
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="exceeds limit 30"):

@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from ionsampler.boson_stats import OUTCOME_MAX_COUNT
+from ionsampler.boson_stats import OUTCOME_MAX_COUNT, exact_distribution
 from ionsampler.cli import main
 from ionsampler.linear_optics import haar_unitary
-from ionsampler.pipeline import STAGES, matrix_to_json
+from ionsampler.pipeline import STAGES, matrix_from_json, matrix_to_json
 
 ARTIFACTS = [
     "positions.json",
@@ -326,18 +326,18 @@ class TestFailureModes:
         assert run("positions", config, tmp_path / "out") == 2
 
     def test_numerical_failure_is_exit_1(self, tmp_path, capsys):
-        # 20 bunched bosons in 2 modes: Ryser's alternating sum over 2^20
-        # column subsets loses about seven digits, past the 1e-9 tolerance
+        # a zero normalization tolerance refuses every sum but exactly 1.0,
+        # and this run's simulated unitary gives a sum that rounds off it
         config = write_config(
-            tmp_path,
-            chain={"num_ions": 2},
-            input={"occupations": [9, 11]},
-            target={"kind": "haar", "seed": 22},
+            tmp_path, target={"kind": "haar", "seed": 5}, tolerances={"normalization": 0}
         )
         out = tmp_path / "out"
         assert run("all", config, out, "--quiet") == 1
         assert capsys.readouterr().err.startswith("error: exact distribution sums to 1+")
         assert not (out / "distribution.json").exists()
+        u = matrix_from_json(json.loads((out / "simulated_unitary.json").read_text()))
+        dist = exact_distribution(u, (1, 1, 0), norm_tol=np.inf)
+        assert dist.probabilities.sum() != 1.0
 
     def test_schedule_with_frames_is_exit_1(self, tmp_path, capsys):
         # a block written in the earlier {"tau_s", "frames", "n_sub"} form
