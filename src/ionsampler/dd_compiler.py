@@ -86,6 +86,7 @@ class PhaseEvent:
     phi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "time", float(self.time))
         if not (math.isfinite(self.time) and math.isfinite(self.phi)):
             raise ValueError("phase event time and phi must be finite")
 
@@ -101,6 +102,7 @@ class DecouplingBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "tau", float(self.tau))
         if not (math.isfinite(self.tau) and self.tau >= 0 and self.n_sub >= 1):
             raise ValueError("a block needs finite tau >= 0 and n_sub >= 1")
 

@@ -195,11 +195,11 @@ def coupling_matrix(chain: IonChain) -> CouplingMatrix:
     return CouplingMatrix(rates=rates, validity_ratio=ratio)
 
 
-def to_json(chain: IonChain, coupling: CouplingMatrix) -> dict:
+def to_json(positions, coupling: CouplingMatrix) -> dict:
     """Serialize positions, rates and validity ratio:
     {"positions": [...], "rates_rad_per_s": [[...]], "validity_ratio": r}."""
     return {
-        "positions": [float(x) for x in chain.positions],
+        "positions": [float(x) for x in positions],
         "rates_rad_per_s": [[float(x) for x in row] for row in coupling.rates],
         "validity_ratio": float(coupling.validity_ratio),
     }

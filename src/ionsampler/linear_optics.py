@@ -121,6 +121,7 @@ class BSElement:
     theta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", float(self.theta))
         if not 0.0 <= self.theta <= np.pi / 2 + 1e-12:
             raise ValueError(f"theta {self.theta} outside [0, pi/2]")
 
@@ -133,7 +134,8 @@ class PhaseElement:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        phi = float(self.phi) % _TWO_PI  # a tiny negative phi rounds to 2 pi itself
+        object.__setattr__(self, "phi", phi if phi < _TWO_PI else 0.0)
 
 
 @dataclass(frozen=True)

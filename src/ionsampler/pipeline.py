@@ -2,11 +2,12 @@
 
 Each stage reads the artifacts of its upstream stages from the output
 directory and writes its own, so a full run and a sequence of
-single-stage runs produce identical files; within one run, a stage takes
-what an earlier one wrote from memory (:class:`ArtifactDir`).  Requesting a
-stage whose inputs are missing raises :class:`PipelineError`, naming the
-stage that writes them (:data:`PRODUCERS`), rather than silently
-recomputing the upstream work.  Every run that completes also writes
+single-stage runs produce identical files; within one run, a stage gets
+the value an earlier one wrote (:class:`ArtifactDir`).  :data:`ARTIFACTS`
+declares each artifact once: the stage that writes it and how its value is
+written and read back.  Requesting a stage whose inputs are missing raises
+:class:`PipelineError`, naming the stage that writes them, rather than
+silently recomputing the upstream work.  Every run that completes also writes
 ``manifest.json`` with the wall time of each stage it ran; it is the only
 file that differs between reruns.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .linear_optics import (
 )
 
 __all__ = [
-    "PRODUCERS",
+    "ARTIFACTS",
     "STAGES",
     "PipelineError",
     "VerifyToleranceError",
@@ -73,39 +73,48 @@ def matrix_to_json(u) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    u = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    u = np.empty(np.shape(data["re"]), dtype=complex)
+    u.real, u.imag = data["re"], data["im"]  # by part, so that signed zeros survive
     dim = int(data["dim"])
     if u.shape != (dim, dim):
         raise PipelineError(f"matrix payload shape {u.shape} does not match dim {dim}")
     return u
 
 
-# Every artifact of the output directory and the stage that writes it.
-PRODUCERS = {
-    "positions.json": "positions",
-    "couplings.json": "couplings",
-    "target_unitary.json": "decompose",
-    "elements.json": "decompose",
-    "schedule.json": "compile",
-    "simulated_unitary.json": "simulate",
-    "distribution.json": "distribution",
-    "samples.csv": "sample",
-    "readouts.csv": "detect",
-    "verify_report.json": "verify",
-}
+def _json(encode=lambda v: v, decode=None):
+    """The (write, read) pair of a one-line JSON artifact: ``encode`` makes
+    the payload of a value, ``decode`` (if a stage reads it) the value back."""
+    return (lambda v, fh: fh.write(json.dumps(encode(v)) + "\n"),
+            decode and (lambda fh: decode(json.load(fh))))
 
-# Each artifact a later stage reads: ``parse`` applied to what ``load`` reads.
-# Methods are looked up when called, so wrappers put on them see the calls.
-READERS = {
-    "positions.json": (lambda d: np.asarray(d["positions"], dtype=float), json.load),
-    "couplings.json": (ion_chain.from_json, json.load),
-    "target_unitary.json": (matrix_from_json, json.load),
-    "elements.json": (lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"]),
-                      json.load),
-    "schedule.json": (lambda d: PulseSchedule.from_json(d), json.load),
-    "simulated_unitary.json": (matrix_from_json, json.load),
-    "distribution.json": (lambda d: (distribution_from_json(d), d.get("source")), json.load),
-    "samples.csv": (np.array, samples_from_csv),
+
+# Every artifact of the output directory: the stage that writes it, how a
+# value is written to an open file and, for one a later stage reads, how the
+# value is read back.  Names are looked up when called, so wrappers put on
+# them see the calls.
+ARTIFACTS = {
+    "positions.json": ("positions", *_json(
+        lambda x: {"num_ions": len(x), "positions": x.tolist()},
+        lambda d: np.asarray(d["positions"], dtype=float))),
+    "couplings.json": ("couplings", *_json(
+        lambda v: ion_chain.to_json(*v), lambda d: ion_chain.from_json(d))),
+    "target_unitary.json": ("decompose", *_json(
+        lambda u: matrix_to_json(u), lambda d: matrix_from_json(d))),
+    "elements.json": ("decompose", *_json(
+        lambda seq: {"dim": seq.dim, "elements": seq.to_json()},
+        lambda d: ElementSequence.from_json(int(d["dim"]), d["elements"]))),
+    "schedule.json": ("compile", *_json(
+        lambda schedule: schedule.to_json(), lambda d: PulseSchedule.from_json(d))),
+    "simulated_unitary.json": ("simulate", *_json(
+        lambda u: matrix_to_json(u), lambda d: matrix_from_json(d))),
+    "distribution.json": ("distribution", *_json(
+        lambda v: {**distribution_to_json(v[0]), "source": v[1]},
+        lambda d: (distribution_from_json(d), d.get("source")))),
+    "samples.csv": ("sample", lambda v, fh: samples_to_csv(v, fh),
+                    lambda fh: samples_from_csv(fh)),
+    "readouts.csv": ("detect", lambda v, fh: readouts_to_csv(*v, fh), None),
+    "verify_report.json": ("verify", *_json()),
+    "manifest.json": (None, *_json()),
 }
 
 # The unitaries a distribution can be computed from, in order of preference
@@ -114,79 +123,72 @@ READERS = {
 SOURCES = {"simulated_unitary.json": "simulated", "target_unitary.json": "target"}
 
 
-@contextmanager
-def _atomic_open(path: Path):
-    """Write to a temporary file beside ``path``, moved onto it only when the
-    block completes, so no stage ever reads a partly written artifact."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # only still there if the block failed
-
-
-def _artifact(outdir: Path, *names: str) -> Path:
-    """The first of ``names`` present in ``outdir``; if none is, the error
-    names the stage that writes each."""
-    for name in names:
-        if (outdir / name).exists():
-            return outdir / name
-    stages = " or ".join(f"'{PRODUCERS[name]}'" for name in names)
-    raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
-
-
 class ArtifactDir:
-    """The output directory of one :func:`run_pipeline` call.  What a stage
-    writes or reads there is held for the later stages, parsed once, with its
-    numpy arrays read-only, so a stage that alters its input raises."""
+    """The output directory of one :func:`run_pipeline` call, and the only
+    code that touches it.  A value written there that a later stage reads is
+    held as it is, with its numpy arrays read-only (so a stage that alters
+    its input raises); one not written in this run is read from disk once."""
 
     def __init__(self, path: Path):
         self.path = path
-        self._written, self._parsed = {}, {}  # payloads not read yet, parsed values
+        self._held = {}
+        path.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, payload, dump=lambda p, fh: fh.write(json.dumps(p) + "\n")):
-        """Write ``payload`` to artifact ``name`` by ``dump`` (one line of JSON,
-        which json.dumps encodes in C), and hold it if a stage reads it."""
-        with _atomic_open(self.path / name) as fh:
-            dump(payload, fh)
-        if name in READERS:
-            self._written[name] = payload
+    def has(self, name: str) -> bool:
+        return (self.path / name).exists()
 
-    def read(self, name: str, last: bool = False):
-        """The artifact ``name``, held or else read from disk; ``last``, for the
-        last stage that reads it, releases it.  One that does not load or parse
-        raises PipelineError naming it."""
-        if name not in self._parsed:
-            parse, load = READERS[name]
-            if name in self._written:
-                value = parse(self._written.pop(name))
-            else:
-                with open(_artifact(self.path, name)) as fh:
-                    try:
-                        value = parse(load(fh))
-                    except (ValueError, KeyError, TypeError, PipelineError) as exc:
-                        raise PipelineError(f"cannot read {name}: {exc}") from exc
-            for item in value if isinstance(value, tuple) else (value,):
-                for array in (item, *getattr(item, "__dict__", {}).values()):
-                    if isinstance(array, np.ndarray):
-                        array.flags.writeable = False
-            self._parsed[name] = value
-        return self._parsed.pop(name) if last else self._parsed[name]
+    def first(self, *names: str) -> str:
+        """The first of ``names`` present; if none is, the error names the
+        stage that writes each."""
+        for name in names:
+            if self.has(name):
+                return name
+        stages = " or ".join(f"'{ARTIFACTS[name][0]}'" for name in names)
+        raise PipelineError(f"missing artifact {' or '.join(names)}; run the {stages} stage first")
+
+    def write(self, name: str, value) -> None:
+        """Write ``value`` to artifact ``name`` through a temporary file moved
+        onto it only when the write completes, so no stage ever reads a
+        partly written artifact."""
+        _, dump, load = ARTIFACTS[name]
+        path = self.path / name
+        tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                dump(value, fh)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # only still there if the write failed
+        if load:
+            self._hold(name, value)
+
+    def read(self, name: str):
+        """The value of artifact ``name``, held or else read from disk.  One
+        that does not read raises PipelineError naming it."""
+        if name not in self._held:
+            with open(self.path / self.first(name)) as fh:
+                try:
+                    value = ARTIFACTS[name][2](fh)
+                except (ValueError, KeyError, TypeError, PipelineError) as exc:
+                    raise PipelineError(f"cannot read {name}: {exc}") from exc
+            self._hold(name, value)
+        return self._held[name]
+
+    def _hold(self, name: str, value) -> None:
+        for item in value if isinstance(value, tuple) else (value,):
+            for array in (item, *getattr(item, "__dict__", {}).values()):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        self._held[name] = value
 
 
 def run_positions(cfg: RunConfig, out: ArtifactDir) -> None:
-    chain = build_chain(cfg.trap, tol=cfg.tolerances.solver)
-    out.write(
-        "positions.json",
-        {"num_ions": cfg.num_ions, "positions": [float(x) for x in chain.positions]},
-    )
+    out.write("positions.json", build_chain(cfg.trap, tol=cfg.tolerances.solver).positions)
 
 
 def run_couplings(cfg: RunConfig, out: ArtifactDir) -> None:
-    chain = IonChain(cfg.trap, out.read("positions.json", last=True))
-    out.write("couplings.json", ion_chain.to_json(chain, coupling_matrix(chain)))
+    positions = out.read("positions.json")
+    out.write("couplings.json", (positions, coupling_matrix(IonChain(cfg.trap, positions))))
 
 
 def _target_unitary(cfg: RunConfig) -> np.ndarray:
@@ -217,40 +219,34 @@ def run_decompose(cfg: RunConfig, out: ArtifactDir) -> None:
         target = assert_unitary(target, cfg.tolerances.unitarity)
     except ValueError as exc:
         raise PipelineError(f"target is not unitary: {exc}") from exc
-    out.write("target_unitary.json", matrix_to_json(target))
-    seq = reck_decompose(target, tol=cfg.tolerances.unitarity)
-    out.write("elements.json", {"dim": seq.dim, "elements": seq.to_json()})
+    out.write("target_unitary.json", target)
+    out.write("elements.json", reck_decompose(target, tol=cfg.tolerances.unitarity))
 
 
 def run_compile(cfg: RunConfig, out: ArtifactDir) -> None:
     _, coupling = out.read("couplings.json")
-    seq = out.read("elements.json", last=True)
-    schedule = compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme)
-    out.write("schedule.json", schedule.to_json())
+    seq = out.read("elements.json")
+    out.write("schedule.json",
+              compile_elements(coupling, seq, n_sub=cfg.dd.n_sub, scheme=cfg.dd.scheme))
 
 
 def run_simulate(cfg: RunConfig, out: ArtifactDir) -> None:
-    _, coupling = out.read("couplings.json", last=True)
-    u = simulate_schedule(coupling, out.read("schedule.json", last=True))
-    out.write("simulated_unitary.json", matrix_to_json(u))
+    _, coupling = out.read("couplings.json")
+    out.write("simulated_unitary.json", simulate_schedule(coupling, out.read("schedule.json")))
 
 
 def run_distribution(cfg: RunConfig, out: ArtifactDir) -> None:
-    name = _artifact(out.path, *SOURCES).name
-    u = out.read(name)
+    name = out.first(*SOURCES)
     dist = exact_distribution(
-        u, cfg.occupations, norm_tol=cfg.tolerances.normalization,
+        out.read(name), cfg.occupations, norm_tol=cfg.tolerances.normalization,
         unit_tol=cfg.tolerances.unitarity,
     )
-    payload = distribution_to_json(dist)
-    payload["source"] = SOURCES[name]
-    out.write("distribution.json", payload)
+    out.write("distribution.json", (dist, SOURCES[name]))
 
 
 def run_sample(cfg: RunConfig, out: ArtifactDir) -> None:
     dist, _ = out.read("distribution.json")
-    samples = sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed)
-    out.write("samples.csv", samples, samples_to_csv)
+    out.write("samples.csv", sample_outcomes(dist, cfg.sampling.num_samples, cfg.sampling.seed))
 
 
 def run_detect(cfg: RunConfig, out: ArtifactDir) -> None:
@@ -261,8 +257,7 @@ def run_detect(cfg: RunConfig, out: ArtifactDir) -> None:
     # so true_n in the CSV is the post-preparation phonon number.
     true_n = prepare_occupations(samples, params.prep_error, rng)
     reported = measure_modes(true_n, params, rng)
-    with _atomic_open(out.path / "readouts.csv") as fh:
-        readouts_to_csv(true_n, reported, params.max_repetitions, fh)
+    out.write("readouts.csv", (true_n, reported, params.max_repetitions))
 
 
 def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
@@ -275,7 +270,7 @@ def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
     tols = cfg.tolerances
     report: dict = {}
 
-    unitaries = {tag: out.read(n) for n, tag in SOURCES.items() if (out.path / n).exists()}
+    unitaries = {tag: out.read(n) for n, tag in SOURCES.items() if out.has(n)}
     for source, u in unitaries.items():
         try:
             assert_unitary(u, tols.unitarity)
@@ -287,7 +282,7 @@ def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
         )
 
     dist = None
-    if (out.path / "distribution.json").exists():
+    if out.has("distribution.json"):
         dist, source_name = out.read("distribution.json")
         residual = abs(dist.total - 1.0)
         report["normalization_residual"] = residual
@@ -309,7 +304,7 @@ def run_verify(cfg: RunConfig, out: ArtifactDir) -> dict:
             )
             report["tvd_exact_vs_oracle"] = total_variation_distance(dist, oracle)
 
-    if dist is not None and (out.path / "samples.csv").exists():
+    if dist is not None and out.has("samples.csv"):
         emp = empirical_distribution(out.read("samples.csv"), dist.num_modes, dist.num_bosons)
         report["tvd_empirical_vs_exact"] = total_variation_distance(emp, dist)
 
@@ -342,7 +337,6 @@ def run_pipeline(cfg: RunConfig, stages, outdir, quiet: bool = False) -> dict | 
     if unknown:
         raise PipelineError(f"unknown stage(s): {', '.join(sorted(unknown))}")
     out = ArtifactDir(Path(outdir))
-    out.path.mkdir(parents=True, exist_ok=True)
 
     timings: dict[str, float] = {}
     result = None

@@ -144,7 +144,7 @@ class TestCouplingMatrix:
 def test_json_round_trip():
     chain = build_chain(stiff_trap(5))
     k = coupling_matrix(chain)
-    blob = json.dumps(ion_chain.to_json(chain, k))
+    blob = json.dumps(ion_chain.to_json(chain.positions, k))
     positions, coupling = ion_chain.from_json(json.loads(blob))
     np.testing.assert_array_equal(positions, chain.positions)
     np.testing.assert_array_equal(coupling.rates, k.rates)

@@ -188,6 +188,12 @@ class TestSequenceSerialization:
         assert 0.0 <= el.phi < 2 * np.pi
         assert np.exp(1j * el.phi) == pytest.approx(np.exp(-0.5j), abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [-1e-17, -0.0, 2 * np.pi, -0.5, 7.0])
+    def test_stored_phase_is_stored_again_as_it_is(self, phi):
+        stored = PhaseElement(1, phi).phi
+        assert 0.0 <= stored < 2 * np.pi
+        assert PhaseElement(1, stored).phi == stored
+
 
 class TestDistanceAndSampling:
     def test_distance_zero_on_self(self):

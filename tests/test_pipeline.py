@@ -1,5 +1,5 @@
-"""Stage-level checks: the detect stage's statistics, atomic artifact
-writes, artifacts held for the later stages of a run and the verify
+"""Stage-level checks: the matrix codec, the detect stage's statistics,
+atomic artifact writes, artifacts held for the later stages of a run and the verify
 stage's record of skipped checks."""
 
 import json
@@ -15,6 +15,7 @@ from ionsampler import boson_stats, pipeline
 from ionsampler.boson_stats import samples_from_csv, samples_to_csv
 from ionsampler.config import parse_config
 from ionsampler.detection import prepare_mode_distribution
+from ionsampler.linear_optics import haar_unitary
 
 
 def make_config(**overrides):
@@ -30,6 +31,13 @@ def make_config(**overrides):
     }
     data.update(overrides)
     return parse_config(data)
+
+
+def test_matrix_json_round_trip_is_bitwise_exact():
+    u = haar_unitary(3, seed=1)
+    u[0] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    back = pipeline.matrix_from_json(json.loads(json.dumps(pipeline.matrix_to_json(u))))
+    assert back.shape == u.shape and back.tobytes() == u.tobytes()
 
 
 def test_detect_stage_matches_preparation_and_readout_pmfs(tmp_path):
@@ -84,10 +92,10 @@ def failing_writer(samples, fh):
 class TestAtomicWrites:
     def test_failed_json_write_keeps_old_artifact(self, tmp_path):
         path, out = tmp_path / "positions.json", pipeline.ArtifactDir(tmp_path)
-        out.write("positions.json", {"positions": [0.0]})
+        out.write("positions.json", np.array([0.0]))
         before = path.read_bytes()
-        with pytest.raises(TypeError):
-            out.write("positions.json", {"positions": [1.0, 2.0], "bad": object()})
+        with pytest.raises(TypeError):  # json.dumps cannot encode the object
+            out.write("positions.json", np.array([1.0, object()], dtype=object))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["positions.json"]
 
@@ -106,24 +114,30 @@ class TestAtomicWrites:
 
 
 class TestHeldArtifacts:
-    def test_held_values_are_what_a_read_from_disk_returns(self, tmp_path):
-        cfg = make_config(target={"kind": "haar", "seed": 3})
+    @pytest.mark.parametrize("overrides", [
+        {"target": {"kind": "haar", "seed": 3}},
+        {"chain": {"num_ions": 5}, "input": {"occupations": [2, 1, 0, 0, 1]},
+         "target": {"kind": "fourier"}},
+    ], ids=["haar", "fourier-bunched"])
+    def test_held_values_are_what_a_read_from_disk_returns(self, tmp_path, overrides):
+        cfg = make_config(**overrides)
         out = pipeline.ArtifactDir(tmp_path)
-        for stage, run in pipeline.STAGES.items():
-            run(cfg, out)
-            # read each artifact the stage wrote before a later stage releases it
-            for name in [n for n in pipeline.READERS if pipeline.PRODUCERS[n] == stage]:
-                held = out.read(name)
-                assert out.read(name) is held, name
-                from_disk = pipeline.ArtifactDir(tmp_path).read(name)
-                assert pickle.dumps(held) == pickle.dumps(from_disk), name
+        written, write = {}, out.write
 
-    def test_last_read_releases_the_held_value(self, tmp_path):
-        out = pipeline.ArtifactDir(tmp_path)
-        out.write("positions.json", {"positions": [1.0]})
-        assert out.read("positions.json", last=True).tolist() == [1.0]
-        (tmp_path / "positions.json").write_text('{"positions": [2.0]}')
-        assert out.read("positions.json").tolist() == [2.0]
+        def recording_write(name, value):
+            write(name, value)
+            written[name] = value
+
+        out.write = recording_write
+        for run in pipeline.STAGES.values():
+            run(cfg, out)
+        for name, (_, _, read) in pipeline.ARTIFACTS.items():
+            if read is None:
+                continue
+            held = out.read(name)
+            assert held is written[name], name
+            from_disk = pipeline.ArtifactDir(tmp_path).read(name)
+            assert pickle.dumps(held) == pickle.dumps(from_disk), name
 
     def test_held_arrays_are_read_only(self, tmp_path):
         cfg = make_config()
