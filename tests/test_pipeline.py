@@ -1,6 +1,6 @@
 """Stage-level checks: the matrix codec, the detect stage's statistics,
-atomic artifact writes, artifacts held for the later stages of a run and the verify
-stage's record of skipped checks."""
+atomic artifact writes, artifacts held for the later stages of a run and
+the verify stage's record of skipped checks."""
 
 import json
 import pickle
