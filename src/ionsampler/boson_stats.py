@@ -15,8 +15,8 @@ many-body route (`fock_oracle_distribution`) that builds the output state
 in the full bosonic Fock space, applying to the vacuum one creation
 operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
 nothing but the outcome enumeration and its rank, which makes their
-agreement a meaningful cross-check.  Both hold the outcomes as one (K, M)
-table of the smallest unsigned dtype that holds N, rows in canonical order.
+agreement a meaningful cross-check.  A distribution records only (M, N),
+which fix its outcomes: the rows of one cached table, in canonical order.
 """
 
 from __future__ import annotations
@@ -258,11 +258,12 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     return float(_probabilities(u[occupied], np.array([s])[:, occupied], t)[0])
 
 
+@lru_cache(maxsize=4)
 def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
-    """:func:`enumerate_outcomes` as a (K, M) table of the smallest unsigned
-    dtype that holds N, one column per pass: a prefix with r bosons left has
-    children r, r - 1, ..., 0 in the next mode, and each child's entry fills
-    one row per completion of what it leaves over the modes after it."""
+    """:func:`enumerate_outcomes` as a cached, read-only (K, M) table of the
+    smallest unsigned dtype that holds N, one column per pass: a prefix with r
+    bosons left has children r, r - 1, ..., 0 in the next mode, and each
+    child's entry fills one row per completion of what it leaves to later modes."""
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     if num_bosons < 0:
@@ -283,14 +284,15 @@ def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
         table[:, i] = np.repeat(np.repeat(left, children) - after, completions[after])
         left = after
     table[:, -1] = left
+    table.flags.writeable = False  # shared by the cache
     return table
 
 
 def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]:
     """All compositions of N into M parts, first index descending.
 
-    The order is part of the serialization contract: (2,0) before (1,1)
-    before (0,2), and recursively so in the remaining modes.  Refuses more
+    The order is the serialization contract, enforced on read: (2,0) before
+    (1,1) before (0,2), and recursively so in the remaining modes.  Refuses more
     than OUTCOME_MAX_COUNT outcomes before building any of them.
     """
     return list(map(tuple, _outcome_table(num_modes, num_bosons).tolist()))
@@ -314,47 +316,49 @@ def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over all occupation vectors with a fixed boson total.
+    """Probabilities over all occupation vectors of N bosons in M modes.
 
-    ``table`` holds the outcomes as the rows of one (K, M) integer array,
-    in the :func:`enumerate_outcomes` order, and ``probabilities[k]`` is
-    the probability of row k.  Provenance is one of "exact" (permanent
-    route), "fock_oracle" (many-body route) or "empirical" (sample
-    frequencies).
+    (M, N) alone fix the outcomes: ``probabilities[k]`` is the probability
+    of outcome k in the :func:`enumerate_outcomes` order, and ``table``
+    gives them as the rows of the cached (K, M) outcome table.  Provenance
+    is one of "exact" (permanent route), "fock_oracle" (many-body route) or
+    "empirical" (sample frequencies).
     """
 
     num_modes: int
     num_bosons: int
     provenance: str
-    table: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if len(self.table) != p.size:
+        if p.size != comb(self.num_bosons + self.num_modes - 1, self.num_bosons):
             raise ValueError("outcomes and probabilities length mismatch")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
 
     @property
+    def table(self) -> np.ndarray:
+        return _outcome_table(self.num_modes, self.num_bosons)
+
+    @property
     def outcomes(self) -> tuple[tuple[int, ...], ...]:  # built on each call
-        return tuple(map(tuple, self.table.tolist()))
+        return tuple(enumerate_outcomes(self.num_modes, self.num_bosons))
 
     @property
     def total(self) -> float:
         return float(self.probabilities.sum())
 
 
-def _distribution_from_probs(table, provenance, probs, norm_tol):
+def _distribution_from_probs(m, n, provenance, probs, norm_tol):
     residual = abs(probs.sum() - 1.0)
     if not residual <= norm_tol:  # so that a NaN sum fails too
         raise NormalizationError(
             f"{provenance} distribution sums to 1{residual:+.3e}; "
             "numerical failure beyond tolerance"
         )
-    m, n = table.shape[1], int(table[0].sum())
-    return OutcomeDistribution(m, n, provenance, table, probs)
+    return OutcomeDistribution(m, n, provenance, probs)
 
 
 def exact_distribution(
@@ -366,8 +370,8 @@ def exact_distribution(
     """
     u = assert_unitary(matrix, unit_tol)
     t = _occupation(inputs, u.shape[0])
-    table = _outcome_table(len(t), sum(t))
-    return _distribution_from_probs(table, "exact", _probabilities(u, table, t), norm_tol)
+    probs = _probabilities(u, _outcome_table(len(t), sum(t)), t)
+    return _distribution_from_probs(len(t), sum(t), "exact", probs, norm_tol)
 
 
 def fock_oracle_refusal(num_modes: int, num_bosons: int) -> str | None:
@@ -437,53 +441,39 @@ def fock_oracle_distribution(
         amps = np.bincount(rank, weights.real, count) + 1j * np.bincount(rank, weights.imag, count)
         states = np.empty((count, m), dtype=states.dtype)
         states[rank] = raised
-    return _distribution_from_probs(states, "fock_oracle", np.abs(amps) ** 2, norm_tol)
-
-
-def _outcome_rows(rows, num_modes: int, num_bosons: int, label: str) -> np.ndarray:
-    """``rows`` as an int64 (K, M) array.  A row that is not an outcome of N
-    bosons in M modes (another length, an entry that is not a nonnegative
-    integer, or another total) raises ValueError naming the first such row
-    as ``label`` k."""
-    try:
-        table = np.asarray(rows)
-    except ValueError:  # rows of different lengths
-        k = next(k for k, row in enumerate(rows) if len(row) != num_modes)
-        bad = rows[k]
-    else:
-        if table.ndim != 2:
-            raise ValueError(f"{label}s must be rows of occupations, got shape {table.shape}")
-        if table.dtype.kind not in "iuf":
-            raise ValueError(f"{label}s must be integer occupations, not {table.dtype}")
-        foreign = (table < 0).any(axis=1) | (table.sum(axis=1) != num_bosons)
-        foreign |= table.shape[1] != num_modes
-        if table.dtype.kind == "f":
-            foreign |= (table != np.round(table)).any(axis=1)
-        if not foreign.any():
-            return table.astype(np.int64, copy=False)
-        k = int(np.argmax(foreign))
-        bad = table[k].tolist()
-    raise ValueError(
-        f"{label} {k} {tuple(bad)} is not an outcome of {num_bosons} bosons in {num_modes} modes"
-    )
+    return _distribution_from_probs(m, n, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
 def check_samples(samples, num_modes: int, num_bosons: int) -> np.ndarray:
-    """``samples`` as an int64 array.  No rows, or a sample that is not an
-    outcome of N bosons in M modes, raises ValueError naming the first such
-    sample (see :func:`_outcome_rows`)."""
-    if not np.size(samples):
+    """``samples`` as an int64 (K, M) array.  No rows, or a sample that is not
+    an outcome of N bosons in M modes (another length, an entry that is not a
+    nonnegative integer, or another total), raises ValueError naming the
+    first such sample."""
+    table = np.asarray(samples)  # rows of different lengths raise ValueError
+    if not table.size:
         raise ValueError("no samples")
-    return _outcome_rows(samples, num_modes, num_bosons, "sample")
+    if table.ndim != 2:
+        raise ValueError(f"samples must be rows of occupations, got shape {table.shape}")
+    if table.dtype.kind not in "iuf":
+        raise ValueError(f"samples must be integer occupations, not {table.dtype}")
+    foreign = (table < 0).any(axis=1) | (table.sum(axis=1) != num_bosons)
+    foreign |= table.shape[1] != num_modes
+    if table.dtype.kind == "f":
+        foreign |= (table != np.round(table)).any(axis=1)
+    if foreign.any():
+        k = int(np.argmax(foreign))
+        raise ValueError(f"sample {k} {tuple(table[k].tolist())} is not an outcome of "
+                         f"{num_bosons} bosons in {num_modes} modes")
+    return table.astype(np.int64, copy=False)
 
 
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
     """Relative frequencies of ``samples`` over the canonical outcome order;
     samples are checked by :func:`check_samples`."""
     samples = check_samples(samples, num_modes, num_bosons)
-    table = _outcome_table(num_modes, num_bosons)
-    probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=len(table)) / len(samples)
-    return OutcomeDistribution(num_modes, num_bosons, "empirical", table, probs)
+    count = comb(num_bosons + num_modes - 1, num_bosons)
+    probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=count) / len(samples)
+    return OutcomeDistribution(num_modes, num_bosons, "empirical", probs)
 
 
 def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.ndarray:
@@ -509,8 +499,6 @@ def total_variation_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> 
     """Half the L1 distance between two distributions on the same outcome set."""
     if (p.num_modes, p.num_bosons) != (q.num_modes, q.num_bosons):
         raise ValueError("distributions live on different outcome spaces")
-    if not np.array_equal(p.table, q.table):
-        raise ValueError("outcome orders differ")
     return float(0.5 * np.abs(p.probabilities - q.probabilities).sum())
 
 
@@ -527,12 +515,21 @@ def distribution_to_json(dist: OutcomeDistribution) -> dict:
 
 
 def distribution_from_json(data: dict) -> OutcomeDistribution:
-    """Inverse of :func:`distribution_to_json`.  A row that is not an outcome
-    of n bosons in m modes raises ValueError naming the first such row."""
+    """Inverse of :func:`distribution_to_json`.  The rows must be every
+    outcome of n bosons in m modes in the canonical order; otherwise
+    ValueError names the first row that differs from it."""
     m, n = int(data["m"]), int(data["n"])
-    table = _outcome_rows([row["s"] for row in data["outcomes"]], m, n, "outcome")
+    rows, table, step = [row["s"] for row in data["outcomes"]], _outcome_table(m, n), 1 << 16
+    # compared as lists a block at a time: the whole table took 35 MB more at M = 16, N = 8
+    if any(rows[i:i + step] != table[i:i + step].tolist() for i in range(0, len(rows) + 1, step)):
+        table = table.tolist()
+        k = next(k for k in range(len(rows) + 1) if rows[k:k + 1] != table[k:k + 1])
+        if k == len(rows):
+            raise ValueError(f"outcome {k} {tuple(table[k])} of {n} bosons in {m} modes is missing")
+        why = "is not an outcome" if rows[k] not in table else "breaks the canonical order"
+        raise ValueError(f"outcome {k} {tuple(rows[k])} {why} of {n} bosons in {m} modes")
     probs = np.array([row["p"] for row in data["outcomes"]], dtype=float)
-    return OutcomeDistribution(m, n, data["provenance"], table.astype(np.min_scalar_type(n)), probs)
+    return OutcomeDistribution(m, n, data["provenance"], probs)
 
 
 def samples_to_csv(samples, fh) -> None:

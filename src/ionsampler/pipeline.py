@@ -73,7 +73,10 @@ def matrix_to_json(u) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    u = np.empty(np.shape(data["re"]), dtype=complex)
+    shape, im_shape = np.shape(data["re"]), np.shape(data["im"])
+    if im_shape != shape:  # else the assignment below would broadcast im
+        raise PipelineError(f"matrix payload im shape {im_shape} differs from re shape {shape}")
+    u = np.empty(shape, dtype=complex)
     u.real, u.imag = data["re"], data["im"]  # by part, so that signed zeros survive
     dim = int(data["dim"])
     if u.shape != (dim, dim):
@@ -169,7 +172,7 @@ class ArtifactDir:
             with open(self.path / self.first(name)) as fh:
                 try:
                     value = ARTIFACTS[name][2](fh)
-                except (ValueError, KeyError, TypeError, PipelineError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError, PipelineError) as exc:
                     raise PipelineError(f"cannot read {name}: {exc}") from exc
             self._hold(name, value)
         return self._held[name]
@@ -204,7 +207,7 @@ def _target_unitary(cfg: RunConfig) -> np.ndarray:
     try:
         with open(cfg.target.path) as fh:
             u = matrix_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, PipelineError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, PipelineError) as exc:
         raise PipelineError(f"cannot load target matrix {cfg.target.path}: {exc}") from exc
     if u.shape[0] != m:
         raise PipelineError(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -263,16 +264,25 @@ class TestOutcomeTable:
         dist = exact_distribution(haar_unitary(3, seed=1), (1, 1, 0))
         assert sample_outcomes(dist, 50, seed=2).dtype == np.int64
 
-    def test_oracle_hands_over_the_same_table(self):
+    def test_table_is_built_once_and_read_only(self):
+        table = boson_stats._outcome_table(6, 3)
+        assert boson_stats._outcome_table(6, 3) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_distributions_share_the_table_and_record_only_m_and_n(self):
         u = haar_unitary(5, seed=4)
         oracle = fock_oracle_distribution(u, (0, 2, 1, 0, 1))
-        np.testing.assert_array_equal(oracle.table, boson_stats._outcome_table(5, 4))
+        assert [f.name for f in dataclasses.fields(boson_stats.OutcomeDistribution)] == [
+            "num_modes", "num_bosons", "provenance", "probabilities"]
+        assert oracle.table is exact_distribution(u, (0, 2, 1, 0, 1)).table
+        assert oracle.table is boson_stats._outcome_table(5, 4)
 
-    def test_tvd_refuses_tables_that_differ(self):
-        a = exact_distribution(BALANCED, (1, 1))
-        b = boson_stats.OutcomeDistribution(2, 2, "exact", a.table[::-1], a.probabilities)
-        with pytest.raises(ValueError, match="outcome orders differ"):
-            total_variation_distance(a, b)
+    @pytest.mark.parametrize("m, n, size", [(2, 2, 2), (3, 2, 7), (1, 4, 0)])
+    def test_probabilities_must_cover_every_outcome(self, m, n, size):
+        with pytest.raises(ValueError, match="length mismatch"):
+            boson_stats.OutcomeDistribution(m, n, "exact", np.full(size, 1.0 / max(size, 1)))
 
 
 class TestDistributions:
@@ -578,6 +588,35 @@ class TestComparisonAndSerialization:
         data["outcomes"][1]["s"] = row
         with pytest.raises(ValueError, match=re.escape(bad) + " is not an outcome of 2 bosons in 2 modes"):
             distribution_from_json(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[::-1], "outcome 0 (0, 0, 2) breaks the canonical order of 2 bosons in 3 modes"),
+        (lambda rows: rows[:2] + rows[3:], "outcome 2 (0, 2, 0) breaks the canonical order"),
+        (lambda rows: rows[:3], "outcome 3 (0, 2, 0) of 2 bosons in 3 modes is missing"),
+        (lambda rows: rows[:2] + rows[1:], "outcome 2 (1, 1, 0) breaks the canonical order"),
+        (lambda rows: rows + rows[-1:], "outcome 6 (0, 0, 2) breaks the canonical order"),
+        (lambda rows: [], "outcome 0 (2, 0, 0) of 2 bosons in 3 modes is missing"),
+    ], ids=["reversed", "dropped", "cut", "duplicated", "extra", "empty"])
+    def test_distribution_rows_out_of_canonical_order_rejected(self, edit, message):
+        data = distribution_to_json(exact_distribution(haar_unitary(3, seed=1), (1, 1, 0)))
+        data["outcomes"] = edit(data["outcomes"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            distribution_from_json(data)
+
+    @pytest.mark.parametrize("edit, k, row, message", [
+        (lambda rows: rows[:70_000] + rows[70_001:70_002] + rows[70_000:70_001] + rows[70_002:],
+         70_000, 70_001, "breaks the canonical order"),
+        (lambda rows: rows[:1 << 16], 1 << 16, 1 << 16, "of 7 bosons in 14 modes is missing"),
+        (lambda rows: rows + rows[:1], 77_520, 0, "breaks the canonical order"),
+    ], ids=["swapped", "cut-at-block", "extra"])
+    def test_rows_past_the_first_block_are_checked(self, edit, k, row, message):
+        # the reader compares the rows 65 536 at a time
+        outcomes = oracles.outcome_tuples(14, 7)
+        rows = [{"s": list(s), "p": 1 / len(outcomes)} for s in outcomes]
+        data = {"m": 14, "n": 7, "provenance": "exact", "outcomes": edit(rows)}
+        with pytest.raises(ValueError, match=re.escape(f"outcome {k} {outcomes[row]} {message}")):
+            distribution_from_json(data)
+        assert len(distribution_from_json({**data, "outcomes": rows}).probabilities) == len(outcomes)
 
     def test_distribution_row_of_another_length_named(self):
         data = distribution_to_json(exact_distribution(BALANCED, (1, 1)))

@@ -250,8 +250,11 @@ class TestFailureModes:
             {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             {"dim": 2, "re": [[1.0, "a"], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             {"dim": "x", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": 0.5},
+            {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]]},
+            {"dim": float("inf"), "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
         ],
-        ids=["array", "ragged", "non-numeric", "bad-dim"],
+        ids=["array", "ragged", "non-numeric", "bad-dim", "scalar-im", "one-row-im", "dim-overflow"],
     )
     def test_malformed_target_file_is_exit_1(self, tmp_path, capsys, payload):
         matrix_path = tmp_path / "target.json"
@@ -273,8 +276,9 @@ class TestFailureModes:
             ("target_unitary.json", "distribution", lambda data: json.dumps(
                 {k: v for k, v in data.items() if k != "im"})),
             ("distribution.json", "sample", lambda data: json.dumps(ragged_outcomes(data))),
+            ("distribution.json", "sample", lambda data: json.dumps({**data, "m": float("inf")})),
         ],
-        ids=["truncated", "array", "no-im", "ragged-outcomes"],
+        ids=["truncated", "array", "no-im", "ragged-outcomes", "m-overflow"],
     )
     def test_malformed_artifact_is_exit_1(self, tmp_path, capsys, artifact, stage, corrupt):
         config = write_config(
@@ -422,6 +426,42 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith(
             f"error: cannot read distribution.json: outcome 1 {bad} is not an outcome of 2 bosons in 2 modes"
         )
+        assert not (out / "samples.csv").exists()
+
+    def test_simulated_unitary_with_one_row_of_im_is_exit_1(self, tmp_path, capsys):
+        # broadcast down the rows, that row would make the matrix fail its
+        # unitarity check, with a message that names no artifact
+        config = write_config(tmp_path, target={"kind": "fourier"})
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet") == 0
+        path = out / "simulated_unitary.json"
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "im": data["im"][1:2]}))
+        capsys.readouterr()
+        assert run("distribution", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read simulated_unitary.json: matrix payload im shape (1, 3) differs"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[::-1], "outcome 0 (0, 0, 2) breaks the canonical order"),
+        (lambda rows: rows[:3], "outcome 3 (0, 2, 0) of 2 bosons in 3 modes is missing"),
+        (lambda rows: rows[:3] + rows[2:], "outcome 3 (1, 0, 1) breaks the canonical order"),
+    ], ids=["reversed", "dropped", "duplicated"])
+    def test_distribution_rows_out_of_canonical_order_are_exit_1(self, tmp_path, capsys, edit, message):
+        config = write_config(tmp_path, target={"kind": "haar", "seed": 1})
+        out = tmp_path / "out"
+        for producer in ("decompose", "distribution"):
+            assert run(producer, config, out, "--quiet") == 0
+        dist_path = out / "distribution.json"
+        dist = json.loads(dist_path.read_text())
+        rows = edit(dist["outcomes"])
+        total = sum(row["p"] for row in rows)
+        dist["outcomes"] = [{"s": row["s"], "p": row["p"] / total} for row in rows]
+        dist_path.write_text(json.dumps(dist))
+        capsys.readouterr()
+        assert run("sample", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read distribution.json: {message}")
         assert not (out / "samples.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -40,6 +40,14 @@ def test_matrix_json_round_trip_is_bitwise_exact():
     assert back.shape == u.shape and back.tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("im", [0.5, [[0.5, 0.5]]], ids=["scalar", "one-row"])
+def test_matrix_parts_of_different_shapes_are_refused(im):
+    # numpy would broadcast either im over the rows of re
+    data = {"dim": 2, "re": np.eye(2).tolist(), "im": im}
+    with pytest.raises(pipeline.PipelineError, match=r"im shape \(.*\) differs from re shape \(2, 2\)"):
+        pipeline.matrix_from_json(data)
+
+
 def test_detect_stage_matches_preparation_and_readout_pmfs(tmp_path):
     cfg = make_config()
     trials = 20_000
