@@ -258,22 +258,26 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     return float(_probabilities(u[occupied], np.array([s])[:, occupied], t)[0])
 
 
-@lru_cache(maxsize=4)
-def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
-    """:func:`enumerate_outcomes` as a cached, read-only (K, M) table of the
-    smallest unsigned dtype that holds N, one column per pass: a prefix with r
-    bosons left has children r, r - 1, ..., 0 in the next mode, and each
-    child's entry fills one row per completion of what it leaves to later modes."""
+def _outcome_count(num_modes: int, num_bosons: int) -> int:
+    """C(N + M - 1, N), refused past OUTCOME_MAX_COUNT."""
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     if num_bosons < 0:
         raise ValueError("num_bosons must be >= 0")
     count = comb(num_bosons + num_modes - 1, num_bosons)
     if count > OUTCOME_MAX_COUNT:
-        raise ValueError(
-            f"{count} outcomes of {num_bosons} bosons in {num_modes} modes "
-            f"exceed the outcome guard {OUTCOME_MAX_COUNT}"
-        )
+        raise ValueError(f"{count} outcomes of {num_bosons} bosons in {num_modes} modes "
+                         f"exceed the outcome guard {OUTCOME_MAX_COUNT}")
+    return count
+
+
+@lru_cache(maxsize=4)
+def _outcome_table(num_modes: int, num_bosons: int) -> np.ndarray:
+    """:func:`enumerate_outcomes` as a cached, read-only (K, M) table of the
+    smallest unsigned dtype that holds N, one column per pass: a prefix with r
+    bosons left has children r, r - 1, ..., 0 in the next mode, and each
+    child's entry fills one row per completion of what it leaves to later modes."""
+    count = _outcome_count(num_modes, num_bosons)
     table = np.empty((count, num_modes), dtype=np.min_scalar_type(num_bosons))
     left = np.array([num_bosons])  # bosons left by each prefix
     for i in range(num_modes - 1):
@@ -427,43 +431,45 @@ def fock_oracle_distribution(
     if u.shape[0] != m:
         raise ValueError("operator dimension does not match occupations")
 
-    # the vacuum, then after k steps the table of k bosons (rows in rank order)
-    states = np.zeros((1, m), dtype=np.min_scalar_type(n))
-    amps = np.ones(1, dtype=complex)
-    unit = np.eye(m, dtype=states.dtype)  # e_i, one row per mode
+    # the vacuum; each step first scatters the raised states of the step before
+    # by rank into the table of k - 1 bosons, so the final one builds no table
+    raised, rank, amps = np.zeros((1, m), dtype=np.min_scalar_type(n)), 0, np.ones(1, dtype=complex)
+    unit = np.eye(m, dtype=raised.dtype)  # e_i, one row per mode
     # (b_j^dag)^t_j / sqrt(t_j!) as t_j factors b_j^dag / sqrt(c): the state
     # stays normalized, and no factorial overflows past 170 bosons
     bosons = [(j, c) for j in range(m) for c in range(1, t[j] + 1)]
     for k, (j, c) in enumerate(bosons, start=1):
+        states = np.empty((len(amps), m), dtype=unit.dtype)
+        states[rank] = raised
         raised = (states[:, None, :] + unit).reshape(-1, m)
         weights = (amps[:, None] * np.sqrt((states + 1) / c) * u[:, j]).ravel()
         rank, count = _outcome_rank(raised, k), comb(k + m - 1, k)
         amps = np.bincount(rank, weights.real, count) + 1j * np.bincount(rank, weights.imag, count)
-        states = np.empty((count, m), dtype=states.dtype)
-        states[rank] = raised
     return _distribution_from_probs(m, n, "fock_oracle", np.abs(amps) ** 2, norm_tol)
 
 
-def check_samples(samples, num_modes: int, num_bosons: int) -> np.ndarray:
-    """``samples`` as an int64 (K, M) array.  No rows, or a sample that is not
-    an outcome of N bosons in M modes (another length, an entry that is not a
-    nonnegative integer, or another total), raises ValueError naming the
-    first such sample."""
-    table = np.asarray(samples)  # rows of different lengths raise ValueError
+def check_samples(samples, num_modes: int, num_bosons: int, label: str = "sample") -> np.ndarray:
+    """``samples`` as an int64 (K, M) array.  No rows, or a row that is not an
+    outcome of N bosons in M modes (another length, a negative or fractional
+    entry, or another total), raises ValueError naming the first as ``label`` k."""
+    try:
+        table = np.asarray(samples)
+    except ValueError:  # ragged rows: each not of M entries stands in as a row of -1
+        table = np.array([row if len(row) == num_modes else [-1] * num_modes for row in samples])
     if not table.size:
-        raise ValueError("no samples")
+        raise ValueError(f"no {label}s")
     if table.ndim != 2:
-        raise ValueError(f"samples must be rows of occupations, got shape {table.shape}")
+        raise ValueError(f"{label}s must be rows of occupations, got shape {table.shape}")
     if table.dtype.kind not in "iuf":
-        raise ValueError(f"samples must be integer occupations, not {table.dtype}")
+        raise ValueError(f"{label}s must be integer occupations, not {table.dtype}")
     foreign = (table < 0).any(axis=1) | (table.sum(axis=1) != num_bosons)
     foreign |= table.shape[1] != num_modes
     if table.dtype.kind == "f":
         foreign |= (table != np.round(table)).any(axis=1)
     if foreign.any():
         k = int(np.argmax(foreign))
-        raise ValueError(f"sample {k} {tuple(table[k].tolist())} is not an outcome of "
-                         f"{num_bosons} bosons in {num_modes} modes")
+        raise ValueError(f"{label} {k} {tuple(np.asarray(samples[k]).tolist())} is not an outcome "
+                         f"of {num_bosons} bosons in {num_modes} modes")
     return table.astype(np.int64, copy=False)
 
 
@@ -471,7 +477,7 @@ def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeD
     """Relative frequencies of ``samples`` over the canonical outcome order;
     samples are checked by :func:`check_samples`."""
     samples = check_samples(samples, num_modes, num_bosons)
-    count = comb(num_bosons + num_modes - 1, num_bosons)
+    count = _outcome_count(num_modes, num_bosons)
     probs = np.bincount(_outcome_rank(samples, num_bosons), minlength=count) / len(samples)
     return OutcomeDistribution(num_modes, num_bosons, "empirical", probs)
 
@@ -515,21 +521,20 @@ def distribution_to_json(dist: OutcomeDistribution) -> dict:
 
 
 def distribution_from_json(data: dict) -> OutcomeDistribution:
-    """Inverse of :func:`distribution_to_json`.  The rows must be every
-    outcome of n bosons in m modes in the canonical order; otherwise
-    ValueError names the first row that differs from it."""
+    """Inverse of :func:`distribution_to_json`.  The rows must be every outcome
+    of n bosons in m modes in canonical order, or ValueError names the first
+    that differs.  They are checked (:func:`check_samples`) and ranked, and no
+    outcome table is built, so an m or n they do not bear out costs nothing."""
     m, n = int(data["m"]), int(data["n"])
-    rows, table, step = [row["s"] for row in data["outcomes"]], _outcome_table(m, n), 1 << 16
-    # compared as lists a block at a time: the whole table took 35 MB more at M = 16, N = 8
-    if any(rows[i:i + step] != table[i:i + step].tolist() for i in range(0, len(rows) + 1, step)):
-        table = table.tolist()
-        k = next(k for k in range(len(rows) + 1) if rows[k:k + 1] != table[k:k + 1])
-        if k == len(rows):
-            raise ValueError(f"outcome {k} {tuple(table[k])} of {n} bosons in {m} modes is missing")
-        why = "is not an outcome" if rows[k] not in table else "breaks the canonical order"
-        raise ValueError(f"outcome {k} {tuple(rows[k])} {why} of {n} bosons in {m} modes")
-    probs = np.array([row["p"] for row in data["outcomes"]], dtype=float)
-    return OutcomeDistribution(m, n, data["provenance"], probs)
+    table = check_samples([row["s"] for row in data["outcomes"]], m, n, "outcome")
+    count = _outcome_count(m, n)  # refuses a huge n before the rank's table of N + 1 rows
+    k = int(np.argmax(np.append(_outcome_rank(table, n) != np.arange(len(table)), True)))
+    if k < len(table):
+        raise ValueError(f"outcome {k} {tuple(table[k].tolist())} breaks the canonical order "
+                         f"of {n} bosons in {m} modes")
+    if k < count:
+        raise ValueError(f"outcome {k} of {n} bosons in {m} modes is missing")
+    return OutcomeDistribution(m, n, data["provenance"], [row["p"] for row in data["outcomes"]])
 
 
 def samples_to_csv(samples, fh) -> None:

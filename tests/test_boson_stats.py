@@ -592,10 +592,10 @@ class TestComparisonAndSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[::-1], "outcome 0 (0, 0, 2) breaks the canonical order of 2 bosons in 3 modes"),
         (lambda rows: rows[:2] + rows[3:], "outcome 2 (0, 2, 0) breaks the canonical order"),
-        (lambda rows: rows[:3], "outcome 3 (0, 2, 0) of 2 bosons in 3 modes is missing"),
+        (lambda rows: rows[:3], "outcome 3 of 2 bosons in 3 modes is missing"),
         (lambda rows: rows[:2] + rows[1:], "outcome 2 (1, 1, 0) breaks the canonical order"),
         (lambda rows: rows + rows[-1:], "outcome 6 (0, 0, 2) breaks the canonical order"),
-        (lambda rows: [], "outcome 0 (2, 0, 0) of 2 bosons in 3 modes is missing"),
+        (lambda rows: [], "no outcomes"),
     ], ids=["reversed", "dropped", "cut", "duplicated", "extra", "empty"])
     def test_distribution_rows_out_of_canonical_order_rejected(self, edit, message):
         data = distribution_to_json(exact_distribution(haar_unitary(3, seed=1), (1, 1, 0)))
@@ -603,20 +603,43 @@ class TestComparisonAndSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             distribution_from_json(data)
 
-    @pytest.mark.parametrize("edit, k, row, message", [
+    @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[:70_000] + rows[70_001:70_002] + rows[70_000:70_001] + rows[70_002:],
-         70_000, 70_001, "breaks the canonical order"),
-        (lambda rows: rows[:1 << 16], 1 << 16, 1 << 16, "of 7 bosons in 14 modes is missing"),
-        (lambda rows: rows + rows[:1], 77_520, 0, "breaks the canonical order"),
-    ], ids=["swapped", "cut-at-block", "extra"])
-    def test_rows_past_the_first_block_are_checked(self, edit, k, row, message):
-        # the reader compares the rows 65 536 at a time
+         "outcome 70000 (0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 3, 1, 0, 0) breaks the canonical order"),
+        (lambda rows: rows[:1 << 16], "outcome 65536 of 7 bosons in 14 modes is missing"),
+        (lambda rows: rows + rows[:1], "outcome 77520 (7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) breaks"),
+    ], ids=["swapped", "cut", "extra"])
+    def test_rows_deep_in_a_large_table_are_checked(self, edit, message):
+        # 77 520 rows: each fault is named at its own index, past 2^16 too
         outcomes = oracles.outcome_tuples(14, 7)
         rows = [{"s": list(s), "p": 1 / len(outcomes)} for s in outcomes]
         data = {"m": 14, "n": 7, "provenance": "exact", "outcomes": edit(rows)}
-        with pytest.raises(ValueError, match=re.escape(f"outcome {k} {outcomes[row]} {message}")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             distribution_from_json(data)
         assert len(distribution_from_json({**data, "outcomes": rows}).probabilities) == len(outcomes)
+
+    def test_distribution_rows_of_booleans_rejected(self):
+        data = distribution_to_json(exact_distribution(BALANCED, (1, 1)))
+        for row in data["outcomes"]:
+            row["s"] = [bool(v) for v in row["s"]]  # [True, True] reads as [1, 1] otherwise
+        with pytest.raises(ValueError, match="outcomes must be integer occupations, not bool"):
+            distribution_from_json(data)
+
+    @pytest.mark.parametrize("m, n, s, message", [
+        (500_000, 1, [1, 0], "outcome 0 (1, 0) is not an outcome of 1 bosons in 500000 modes"),
+        (10**8, 10**8, [1, 0], "outcome 0 (1, 0) is not an outcome"),
+        (2, 10**8, [10**8, 0], f"{10**8 + 1} outcomes of {10**8} bosons in 2 modes exceed the outcome guard"),
+    ], ids=["huge-m", "huge-m-and-n", "huge-n"])
+    def test_distribution_m_and_n_bounded_by_the_rows(self, m, n, s, message):
+        data = {"m": m, "n": n, "provenance": "exact", "outcomes": [{"s": s, "p": 1.0}]}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            distribution_from_json(data)
+
+    def test_reader_builds_no_outcome_table(self):
+        data = distribution_to_json(exact_distribution(haar_unitary(4, seed=2), (2, 1, 0, 0)))
+        boson_stats._outcome_table.cache_clear()
+        assert len(distribution_from_json(data).probabilities) == len(data["outcomes"])
+        assert boson_stats._outcome_table.cache_info().misses == 0
 
     def test_distribution_row_of_another_length_named(self):
         data = distribution_to_json(exact_distribution(BALANCED, (1, 1)))

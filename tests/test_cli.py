@@ -277,8 +277,17 @@ class TestFailureModes:
                 {k: v for k, v in data.items() if k != "im"})),
             ("distribution.json", "sample", lambda data: json.dumps(ragged_outcomes(data))),
             ("distribution.json", "sample", lambda data: json.dumps({**data, "m": float("inf")})),
+            # an m or n that the rows do not bear out must be refused before
+            # anything of their size is built (a 500 000-mode table is 250 GB)
+            ("distribution.json", "sample", lambda data: json.dumps({**data, "m": 500_000, "n": 1})),
+            ("distribution.json", "sample", lambda data: json.dumps({**data, "m": 10**8, "n": 10**8})),
+            ("distribution.json", "sample", lambda data: json.dumps({**data, "n": 10**8, "outcomes": [
+                {"s": [10**8, 0], "p": 0.5}, {"s": [0, 10**8], "p": 0.5}]})),
+            ("distribution.json", "sample", lambda data: json.dumps({**data, "outcomes": [
+                {"s": [bool(v) for v in row["s"]], "p": row["p"]} for row in data["outcomes"]]})),
         ],
-        ids=["truncated", "array", "no-im", "ragged-outcomes", "m-overflow"],
+        ids=["truncated", "array", "no-im", "ragged-outcomes", "m-overflow",
+             "huge-m", "huge-m-and-n", "huge-n", "boolean-outcomes"],
     )
     def test_malformed_artifact_is_exit_1(self, tmp_path, capsys, artifact, stage, corrupt):
         config = write_config(
@@ -445,7 +454,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[::-1], "outcome 0 (0, 0, 2) breaks the canonical order"),
-        (lambda rows: rows[:3], "outcome 3 (0, 2, 0) of 2 bosons in 3 modes is missing"),
+        (lambda rows: rows[:3], "outcome 3 of 2 bosons in 3 modes is missing"),
         (lambda rows: rows[:3] + rows[2:], "outcome 3 (1, 0, 1) breaks the canonical order"),
     ], ids=["reversed", "dropped", "duplicated"])
     def test_distribution_rows_out_of_canonical_order_are_exit_1(self, tmp_path, capsys, edit, message):
