@@ -67,9 +67,9 @@ FOCK_MAX_ENTRIES = 3_600_000
 # cost more, for the JSON rows of distribution.json: distribution takes 5.2 s
 # and peaks at 335 MB, sample 3.8 s and 306 MB, verify 3.4 s and 307 MB.
 OUTCOME_MAX_COUNT = 500_000
-# Lines per block when a CSV artifact is written: the text of one block is
-# joined and written at once, so memory does not grow with the sample count.
-CSV_BLOCK_LINES = 1 << 16
+# Lines per block when a CSV artifact is written, so memory does not grow with
+# the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
+CSV_BLOCK_LINES = 1 << 15
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # Complex entries per array in the chunked Glynn product (256 kB, cache-sized),
 # and outcomes per chunk of row indices.  The only larger arrays hold signed
@@ -259,15 +259,16 @@ def outcome_probability(matrix, outcome, inputs) -> float:
 
 
 def _outcome_count(num_modes: int, num_bosons: int) -> int:
-    """C(N + M - 1, N), refused past OUTCOME_MAX_COUNT."""
+    """C(N + M - 1, N), refused past OUTCOME_MAX_COUNT or when the outcome
+    table's K * M entries pass those of the measured M = 16 point."""
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     if num_bosons < 0:
         raise ValueError("num_bosons must be >= 0")
     count = comb(num_bosons + num_modes - 1, num_bosons)
-    if count > OUTCOME_MAX_COUNT:
-        raise ValueError(f"{count} outcomes of {num_bosons} bosons in {num_modes} modes "
-                         f"exceed the outcome guard {OUTCOME_MAX_COUNT}")
+    if count > OUTCOME_MAX_COUNT or count * num_modes > 16 * OUTCOME_MAX_COUNT:
+        raise ValueError(f"{count} outcomes of {num_bosons} bosons in {num_modes} modes exceed the "
+                         f"outcome guard {OUTCOME_MAX_COUNT} (or {16 * OUTCOME_MAX_COUNT} table entries)")
     return count
 
 
@@ -296,8 +297,8 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
     """All compositions of N into M parts, first index descending.
 
     The order is the serialization contract, enforced on read: (2,0) before
-    (1,1) before (0,2), and recursively so in the remaining modes.  Refuses more
-    than OUTCOME_MAX_COUNT outcomes before building any of them.
+    (1,1) before (0,2), and recursively so in the remaining modes.  Refuses
+    past the outcome guard (see ``_outcome_count``) before building any.
     """
     return list(map(tuple, _outcome_table(num_modes, num_bosons).tolist()))
 
@@ -537,22 +538,27 @@ def distribution_from_json(data: dict) -> OutcomeDistribution:
     return OutcomeDistribution(m, n, data["provenance"], [row["p"] for row in data["outcomes"]])
 
 
+def write_fields(fields: np.ndarray, fh) -> None:
+    """Write an array of NUL-padded bytes fields as their text in C order, padding dropped."""
+    fh.write(fields.tobytes().translate(None, b"\0").decode())
+
+
 def samples_to_csv(samples, fh) -> None:
     """One comma-separated occupation vector per line, no header.
 
-    The lines are written a block of CSV_BLOCK_LINES at a time.  In a
-    block, every field is looked up in a table of the ``v,`` and ``v\n``
-    strings of each value from the block's least entry to its largest.
+    The lines are written a block of CSV_BLOCK_LINES at a time.  In a block,
+    every field is looked up in a table of the ``v,`` and ``v\n`` bytes of
+    each value from the block's least entry to its largest.
     """
     samples = np.asarray(samples, dtype=np.int64)
     for first in range(0, len(samples), CSV_BLOCK_LINES):
         block = samples[first:first + CSV_BLOCK_LINES]
         low = int(block.min())
         values = range(low, int(block.max()) + 1)
-        fields = np.array([[f"{v}," for v in values], [f"{v}\n" for v in values]], dtype=object)
+        fields = np.array([[f"{v}," for v in values], [f"{v}\n" for v in values]], dtype="S")
         pieces = fields[0][block - low]
-        pieces[:, -1:] = fields[1][block[:, -1:] - low]
-        fh.write("".join(pieces.ravel().tolist()))
+        pieces[:, -1] = fields[1][block[:, -1] - low]
+        write_fields(pieces, fh)
 
 
 def samples_from_csv(fh) -> np.ndarray:

@@ -15,8 +15,10 @@ around the target number.  The kernels take a whole array of modes and
 one generator, and each step is one array pass: the preparation noise is
 one uniform per mode, compared with the two cumulative weights of the
 leak, then the readout runs round by round with one uniform for each
-mode still dark.  A single mode therefore consumes the same draws as a
-scalar loop, and a seeded run reproduces bit-for-bit.
+mode still dark, and one index of the modes that stay dark per round.  A
+single mode therefore consumes the same draws as a scalar loop, and a
+seeded run reproduces bit-for-bit.  The readouts are written as CSV from
+fixed-width bytes fields, a block of lines at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boson_stats import CSV_BLOCK_LINES
+from .boson_stats import CSV_BLOCK_LINES, write_fields
 
 __all__ = [
     "DetectionParams",
@@ -110,23 +112,25 @@ def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> 
 
     Round r draws one uniform for each mode still dark, in C order; a mode
     stops at its first reported bright and reports r.  Modes still dark
-    after ``params.max_repetitions`` rounds report the cap (overflow).
+    after ``params.max_repetitions`` rounds report the cap (overflow).  Each
+    round marks every mode in it with r and then keeps, by one index, the
+    modes that stay dark, so a mode keeps the r of its last round.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     if (true_n < 0).any():
         raise ValueError("true_n must be >= 0")
-    reported = np.full(true_n.size, params.max_repetitions, dtype=np.int64)
+    reported = np.empty(true_n.size, dtype=np.int64)
     dark = np.arange(true_n.size)
     dark_n = true_n.ravel()
     for rounds_before in range(params.max_repetitions):
         if not dark.size:
             break
+        reported[dark] = rounds_before  # kept by the modes that report bright now
         honest = rng.random(dark.size) < params.readout_fidelity
-        # truly bright once every phonon has been transferred out
-        bright = (dark_n <= rounds_before) == honest
-        reported[dark[bright]] = rounds_before
-        still_dark = ~bright
-        dark, dark_n = dark[still_dark], dark_n[still_dark]
+        # truly dark while phonons remain; an honest dark or a lying bright stays
+        stay = np.flatnonzero((dark_n > rounds_before) == honest)
+        dark, dark_n = dark[stay], dark_n[stay]
+    reported[dark] = params.max_repetitions  # overflow
     return reported.reshape(true_n.shape)
 
 
@@ -153,11 +157,11 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
     One line per trial and mode, trials in order and modes numbered from 1;
     repetitions equal reported_n, and overflow is reported_n reaching
     ``max_repetitions``.  The lines are written a block of about
-    CSV_BLOCK_LINES at a time.  A block looks up each ``mode,true_n,...``
-    tail by an integer key of the mode and of true_n and reported_n less
-    their least values in the block, so the key table follows the spread of
-    the values, not their size.  Each key that occurs and each ``trial,``
-    head is formatted once.
+    CSV_BLOCK_LINES at a time, each a record of two fixed-width bytes fields:
+    the trial number, built digit by digit, and the ``,mode,true_n,...``
+    tail, looked up by an integer key of the mode and of true_n and reported_n
+    less their least values in the block (so the key table follows the spread
+    of the values, not their size), each key that occurs formatted once.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     reported = np.asarray(reported, dtype=np.int64)
@@ -169,15 +173,19 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
         n, r = true_n[first:last], reported[first:last]
         n0, r0 = int(n.min()), int(r.min())
         dims = (modes, int(n.max()) - n0 + 1, int(r.max()) - r0 + 1)
-        key = ((np.arange(modes) * dims[1] + n - n0) * dims[2] + r - r0).ravel()
-        occurring = np.flatnonzero(np.bincount(key))
+        key = (np.arange(modes) * dims[1] + n - n0) * dims[2] + r - r0
+        occurring = np.flatnonzero(np.bincount(key.ravel()))
         mode, n_off, r_off = np.unravel_index(occurring, dims)
-        tails = np.empty(np.prod(dims), dtype=object)
-        tails[occurring] = [
-            f"{m + 1},{a + n0},{b},{b},{int(b == max_repetitions)}\n"
-            for m, a, b in zip(mode.tolist(), n_off.tolist(), (r_off + r0).tolist())
-        ]
-        pieces = np.empty((last - first, modes, 2), dtype=object)
-        pieces[:, :, 0] = np.array([f"{t}," for t in range(first, last)], dtype=object)[:, None]
-        pieces[:, :, 1] = tails[key].reshape(-1, modes)
-        fh.write("".join(pieces.ravel().tolist()))
+        found = np.array([f",{m + 1},{a + n0},{b},{b},{int(b == max_repetitions)}\n" for m, a, b
+                          in zip(mode.tolist(), n_off.tolist(), (r_off + r0).tolist())], dtype="S")
+        tails = np.zeros(np.prod(dims), dtype=found.dtype)
+        tails[occurring] = found
+        t = np.arange(first, last)
+        width = len(str(last - 1))  # digits of the block's last trial
+        heads = np.zeros((last - first, width), dtype=np.uint8)
+        for k in range(width):  # the digit of 10^k, NUL before the leading digit
+            heads[:, -1 - k] = np.where((t >= 10**k) | (k == 0), ord("0") + t // 10**k % 10, 0)
+        lines = np.empty(key.shape, dtype=[("head", f"S{width}"), ("tail", tails.dtype)])
+        lines["head"] = heads.view(f"S{width}")
+        lines["tail"] = tails[key]
+        write_fields(lines, fh)

@@ -222,6 +222,29 @@ def readouts_csv_text(true_n, reported, max_repetitions: int) -> str:
     return "".join(lines)
 
 
+def readouts_by_rounds(true_n, params, rng) -> np.ndarray:
+    """Reported phonon numbers of the repeat-until-bright readout, drawn the
+    scalar way: round r takes one ``rng.random()`` for each mode still dark,
+    modes in C order.  The round is truly bright once r reaches the mode's
+    phonon number and is read honestly when the draw is below the fidelity;
+    a mode reports r at its first reported bright, and the round cap when it
+    is still dark after ``max_repetitions`` rounds."""
+    true_n = np.asarray(true_n, dtype=np.int64)
+    phonons = true_n.ravel().tolist()
+    reported = [params.max_repetitions] * len(phonons)
+    dark = list(range(len(phonons)))
+    for r in range(params.max_repetitions):
+        still_dark = []
+        for mode in dark:
+            honest = rng.random() < params.readout_fidelity
+            if (phonons[mode] <= r) == honest:
+                reported[mode] = r
+            else:
+                still_dark.append(mode)
+        dark = still_dark
+    return np.array(reported, dtype=np.int64).reshape(true_n.shape)
+
+
 def prepare_by_search(n_target, dist_of, rng) -> np.ndarray:
     """Preparation drawn the per-value way: one uniform per entry (C order),
     then for each distinct target a search of its uniforms in the cumulative

@@ -424,6 +424,26 @@ class TestDistributions:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_outcome_guard_bounds_the_table_entries(self):
+        # M = 700, N = 2: 245 350 outcomes, under OUTCOME_MAX_COUNT, but a
+        # table of 1.7e8 entries
+        assert comb(701, 2) <= OUTCOME_MAX_COUNT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"or {16 * OUTCOME_MAX_COUNT} table entries")):
+                enumerate_outcomes(700, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_outcome_guard_admits_the_measured_point(self):
+        # M = 16, N = 8, the point the guard's table bound is taken from
+        try:
+            assert boson_stats._outcome_table(16, 8).shape == (comb(23, 8), 16)
+        finally:
+            boson_stats._outcome_table.cache_clear()  # frees the 7.8 MB table
+
     def test_fock_dimension_guard(self, monkeypatch):
         # (2, 2, 2): 28 states, and the last step raises each of the C(7, 5)
         # states of 5 bosons in 3 ways, 9 * 21 = 189 entries
@@ -548,6 +568,7 @@ class TestComparisonAndSerialization:
         buf = io.StringIO()
         samples_to_csv(samples, buf)
         assert buf.getvalue() == oracles.samples_csv_text(samples)
+        assert "\0" not in buf.getvalue()
         if len(samples):
             buf.seek(0)
             np.testing.assert_array_equal(samples_from_csv(buf), samples)

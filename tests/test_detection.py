@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import oracles
+from ionsampler import detection
 from ionsampler.detection import (
     DetectionParams,
     measure_chain,
@@ -284,10 +285,44 @@ def _readout_cases():
     zero_column[:, 1] = 0
     yield zero_column, np.minimum(zero_column, 4), 4  # one mode's true_n all zero
     yield np.array([[-2, 105], [0, -7]]), np.array([[-1, 3], [120, -4]]), 3  # negative and >= 100
+    # 120 trials of 2 modes: with 7-line blocks (3 trials), trials 9-11 and
+    # 99-101 share a block, so the trial numbers gain a digit inside one
+    crossing = rng.integers(0, 4, size=(120, 2))
+    yield crossing, np.minimum(crossing, 3), 3
 
 
 @pytest.mark.parametrize("true_n, reported, cap", list(_readout_cases()))
-def test_csv_matches_row_writer(true_n, reported, cap):
+@pytest.mark.parametrize("block", [detection.CSV_BLOCK_LINES, 7])
+def test_csv_matches_row_writer(true_n, reported, cap, block, monkeypatch):
+    monkeypatch.setattr(detection, "CSV_BLOCK_LINES", block)
     buf = io.StringIO()
     readouts_to_csv(true_n, reported, cap, buf)
     assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, cap)
+    assert "\0" not in buf.getvalue()
+
+
+@pytest.mark.parametrize("fidelity", [0.75, 0.99, 1.0])
+@pytest.mark.parametrize("cap", [1, 4, 10])
+@pytest.mark.parametrize("shape", [(0, 4), (1,), (3, 4), (500, 8)])
+def test_readout_draw_order_matches_round_by_round_loop(fidelity, cap, shape):
+    params = DetectionParams(readout_fidelity=fidelity, max_repetitions=cap)
+    true_n = np.random.default_rng(23).integers(0, 6, size=shape)
+    rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+    np.testing.assert_array_equal(measure_modes(true_n, params, rng),
+                                  oracles.readouts_by_rounds(true_n, params, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_readout_draw_order_when_every_mode_overflows():
+    # perfect readout of more phonons than rounds: every mode stays dark and
+    # draws in every round
+    params = DetectionParams(readout_fidelity=1.0, max_repetitions=4)
+    true_n = np.full((50, 3), 7)
+    rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+    reported = measure_modes(true_n, params, rng)
+    np.testing.assert_array_equal(reported, np.full(true_n.shape, 4))
+    np.testing.assert_array_equal(reported, oracles.readouts_by_rounds(true_n, params, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    spent = np.random.default_rng(8)
+    spent.random(4 * true_n.size)  # four rounds of every mode
+    assert rng.bit_generator.state == spent.bit_generator.state
