@@ -430,7 +430,8 @@ class TestDistributions:
         assert comb(701, 2) <= OUTCOME_MAX_COUNT
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=re.escape(f"or {16 * OUTCOME_MAX_COUNT} table entries")):
+            entries = re.escape(f"or {16 * OUTCOME_MAX_COUNT} table entries")
+            with pytest.raises(ValueError, match=f"exceed the outcome guard .*{entries}"):
                 enumerate_outcomes(700, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -321,7 +321,8 @@ def test_readout_draw_order_when_every_mode_overflows():
     rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
     reported = measure_modes(true_n, params, rng)
     np.testing.assert_array_equal(reported, np.full(true_n.shape, 4))
-    np.testing.assert_array_equal(reported, oracles.readouts_by_rounds(true_n, params, reference_rng))
+    np.testing.assert_array_equal(reported,
+                                  oracles.readouts_by_rounds(true_n, params, reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     spent = np.random.default_rng(8)
     spent.random(4 * true_n.size)  # four rounds of every mode
