@@ -29,7 +29,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linear_optics import UNITARITY_TOL, assert_unitary, evolve_modes
+from .linear_optics import UNITARITY_TOL, assert_unitary
 
 __all__ = [
     "permanent_ryser",
@@ -399,15 +399,14 @@ def fock_oracle_refusal(num_modes: int, num_bosons: int) -> str | None:
 def fock_oracle_distribution(
     operator,
     inputs,
-    duration: float | None = None,
     norm_tol: float = NORMALIZATION_TOL,
     unit_tol: float = UNITARITY_TOL,
 ) -> OutcomeDistribution:
     """Distribution via the output state in the many-body Fock space.
 
-    With ``duration`` omitted, ``operator`` is a one-particle unitary U
-    (within ``unit_tol``); otherwise it is a Hermitian hopping matrix K,
-    and U = exp(-iKt) for ``duration`` t seconds.  The output state is
+    ``operator`` is the one-particle unitary U (within ``unit_tol``); for a
+    Hermitian hopping matrix K held t seconds, pass ``evolve_modes(K, t)``
+    from :mod:`linear_optics`.  The output state is
     prod_j (b_j^dag)^t_j |0> / sqrt(prod t_j!), with b_j^dag = sum_i U_ij
     a_i^dag (Aaronson & Arkhipov, "The computational complexity of linear
     optics", 2011).  It is built from the vacuum one creation operator per
@@ -425,10 +424,7 @@ def fock_oracle_distribution(
     refusal = fock_oracle_refusal(m, n)
     if refusal:
         raise ValueError(refusal)
-    if duration is None:
-        u = assert_unitary(operator, unit_tol)
-    else:
-        u = evolve_modes(operator, float(duration))
+    u = assert_unitary(operator, unit_tol)
     if u.shape[0] != m:
         raise ValueError("operator dimension does not match occupations")
 
@@ -543,21 +539,24 @@ def write_fields(fields: np.ndarray, fh) -> None:
     fh.write(fields.tobytes().translate(None, b"\0").decode())
 
 
+def text_fields(values: np.ndarray, fmt) -> np.ndarray:
+    """The bytes of ``fmt(v)`` for each entry v of an integer array, each value
+    from the least entry to the largest formatted once and looked up."""
+    low = int(values.min())
+    return np.array([fmt(v) for v in range(low, int(values.max()) + 1)], dtype="S")[values - low]
+
+
 def samples_to_csv(samples, fh) -> None:
     """One comma-separated occupation vector per line, no header.
 
-    The lines are written a block of CSV_BLOCK_LINES at a time.  In a block,
-    every field is looked up in a table of the ``v,`` and ``v\n`` bytes of
-    each value from the block's least entry to its largest.
+    The lines are written a block of CSV_BLOCK_LINES at a time, every field
+    by :func:`text_fields`: ``v,``, and ``v\n`` in the last column.
     """
     samples = np.asarray(samples, dtype=np.int64)
     for first in range(0, len(samples), CSV_BLOCK_LINES):
         block = samples[first:first + CSV_BLOCK_LINES]
-        low = int(block.min())
-        values = range(low, int(block.max()) + 1)
-        fields = np.array([[f"{v}," for v in values], [f"{v}\n" for v in values]], dtype="S")
-        pieces = fields[0][block - low]
-        pieces[:, -1] = fields[1][block[:, -1] - low]
+        pieces = text_fields(block, "{},".format)
+        pieces[:, -1] = text_fields(block[:, -1], "{}\n".format)
         write_fields(pieces, fh)
 
 

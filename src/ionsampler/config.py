@@ -211,8 +211,9 @@ def parse_config(data: dict) -> RunConfig:
     dd = root.spec("dd", DDSpec, n_sub=positive, scheme={"choices": SCHEMES})
     sampling = root.spec("sampling", SamplingSpec, num_samples=positive, seed=_SEED)
     detection = root.spec("detection", DetectionSpec, max_repetitions=positive, seed=_SEED)
-    tolerances = root.spec("tolerances", Tolerances, solver=non_negative,
-                           unitarity=non_negative, normalization=non_negative)
+    tolerances = root.spec("tolerances", Tolerances, unitarity=non_negative, normalization=non_negative)
+    if not tolerances.solver > 0:  # the chain solver runs until its residual is below it
+        raise ConfigError(f"config.tolerances.solver: must be > 0, got {tolerances.solver}")
 
     root.finish()
     return RunConfig(trap, tuple(occupations), TargetSpec(kind, seed, path), dd, sampling, detection, tolerances)

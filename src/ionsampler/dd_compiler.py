@@ -40,6 +40,7 @@ from .linear_optics import (
     UNITARITY_TOL,
     BSElement,
     ElementSequence,
+    _check_mode,
     _check_pair,
     assert_hermitian,
     assert_unitary,
@@ -135,8 +136,7 @@ class PulseSchedule:
             if isinstance(step, (EvolutionSegment, DecouplingBlock)):
                 elapsed += step.duration
             elif isinstance(step, PhaseEvent):
-                if not 1 <= step.mode_index <= self.dim:
-                    raise ValueError(f"mode index {step.mode_index} outside 1..{self.dim}")
+                _check_mode(step.mode_index, self.dim)
                 if step.time < -1e-12 or step.time > elapsed + 1e-9 * max(elapsed, 1.0):
                     raise ValueError(
                         f"event time {step.time} inconsistent with elapsed {elapsed}"
@@ -293,8 +293,7 @@ def compile_beam_splitter(
     rates = coupling.rates
     dim = rates.shape[0]
     _check_pair(pair_index, dim)
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta {theta} outside [0, pi/2]")
+    theta = BSElement(pair_index, theta).theta  # refuses an angle outside [0, pi/2]
     if theta == 0.0:
         return PulseSchedule(dim)
 

@@ -18,7 +18,8 @@ leak, then the readout runs round by round with one uniform for each
 mode still dark, and one index of the modes that stay dark per round.  A
 single mode therefore consumes the same draws as a scalar loop, and a
 seeded run reproduces bit-for-bit.  The readouts are written as CSV from
-fixed-width bytes fields, a block of lines at a time.
+fixed-width bytes fields, a block of lines at a time, each field looked up
+in a table of its column's values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boson_stats import CSV_BLOCK_LINES, write_fields
+from .boson_stats import CSV_BLOCK_LINES, text_fields, write_fields
 
 __all__ = [
     "DetectionParams",
@@ -157,11 +158,10 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
     One line per trial and mode, trials in order and modes numbered from 1;
     repetitions equal reported_n, and overflow is reported_n reaching
     ``max_repetitions``.  The lines are written a block of about
-    CSV_BLOCK_LINES at a time, each a record of two fixed-width bytes fields:
-    the trial number, built digit by digit, and the ``,mode,true_n,...``
-    tail, looked up by an integer key of the mode and of true_n and reported_n
-    less their least values in the block (so the key table follows the spread
-    of the values, not their size), each key that occurs formatted once.
+    CSV_BLOCK_LINES at a time, each a record of four fixed-width bytes
+    fields: the trial number, built digit by digit, then ``,mode,``,
+    ``true_n,`` and ``reported_n,repetitions,overflow`` with the line's end,
+    each looked up by :func:`text_fields` in a table of its column's values.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     reported = np.asarray(reported, dtype=np.int64)
@@ -171,21 +171,16 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
     for first in range(0, trials, step):
         last = min(first + step, trials)
         n, r = true_n[first:last], reported[first:last]
-        n0, r0 = int(n.min()), int(r.min())
-        dims = (modes, int(n.max()) - n0 + 1, int(r.max()) - r0 + 1)
-        key = (np.arange(modes) * dims[1] + n - n0) * dims[2] + r - r0
-        occurring = np.flatnonzero(np.bincount(key.ravel()))
-        mode, n_off, r_off = np.unravel_index(occurring, dims)
-        found = np.array([f",{m + 1},{a + n0},{b},{b},{int(b == max_repetitions)}\n" for m, a, b
-                          in zip(mode.tolist(), n_off.tolist(), (r_off + r0).tolist())], dtype="S")
-        tails = np.zeros(np.prod(dims), dtype=found.dtype)
-        tails[occurring] = found
         t = np.arange(first, last)
         width = len(str(last - 1))  # digits of the block's last trial
         heads = np.zeros((last - first, width), dtype=np.uint8)
         for k in range(width):  # the digit of 10^k, NUL before the leading digit
             heads[:, -1 - k] = np.where((t >= 10**k) | (k == 0), ord("0") + t // 10**k % 10, 0)
-        lines = np.empty(key.shape, dtype=[("head", f"S{width}"), ("tail", tails.dtype)])
-        lines["head"] = heads.view(f"S{width}")
-        lines["tail"] = tails[key]
+        fields = {"head": heads.view(f"S{width}"),
+                  "mode": text_fields(np.arange(1, modes + 1), ",{},".format),
+                  "n": text_fields(n, "{},".format),
+                  "tail": text_fields(r, lambda v: f"{v},{v},{int(v == max_repetitions)}\n")}
+        lines = np.empty(n.shape, dtype=[(name, f.dtype) for name, f in fields.items()])
+        for name, f in fields.items():
+            lines[name] = f
         write_fields(lines, fh)

@@ -338,6 +338,13 @@ class TestFailureModes:
         )
         assert run("positions", config, tmp_path / "out") == 2
 
+    def test_zero_solver_tolerance_is_exit_1_before_any_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path, tolerances={"solver": 0})
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: config.tolerances.solver: must be > 0")
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_1(self, tmp_path, capsys):
         # a zero normalization tolerance refuses every sum but exactly 1.0,
         # and this run's simulated unitary gives a sum that rounds off it
@@ -487,8 +494,8 @@ class TestFailureModes:
 
 def test_runs_without_scipy(tmp_path):
     # the package needs numpy alone: with scipy blocked, so that any import of
-    # it raises, a 4-ion Haar run of every stage and the Fock-space oracle in
-    # both its forms still succeed
+    # it raises, a 4-ion Haar run of every stage and the Fock-space oracle, on
+    # a unitary and on an evolved generator, still succeed
     config = write_config(
         tmp_path,
         chain={"num_ions": 4},
@@ -501,9 +508,9 @@ def test_runs_without_scipy(tmp_path):
         "import numpy as np\n"
         "from ionsampler.boson_stats import fock_oracle_distribution\n"
         "from ionsampler.cli import main\n"
-        "from ionsampler.linear_optics import haar_unitary\n"
+        "from ionsampler.linear_optics import evolve_modes, haar_unitary\n"
         "fock_oracle_distribution(haar_unitary(4, seed=1), (1, 1, 1, 0))\n"
-        "fock_oracle_distribution(np.ones((3, 3)), (2, 0, 1), duration=0.5)\n"
+        "fock_oracle_distribution(evolve_modes(np.ones((3, 3)), 0.5), (2, 0, 1))\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     result = subprocess.run(

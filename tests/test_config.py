@@ -143,6 +143,14 @@ def test_detection_fidelity_range_checked():
         parse_config(data)
 
 
+def test_zero_solver_tolerance_rejected():
+    # the chain solver iterates until its residual drops below the tolerance
+    data = minimal_config()
+    data["tolerances"] = {"solver": 0}
+    with pytest.raises(ConfigError, match=r"^config\.tolerances\.solver: must be > 0, got 0"):
+        parse_config(data)
+
+
 def test_bad_dd_scheme():
     data = minimal_config()
     data["dd"] = {"scheme": "random"}

@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsampler.boson_stats import fock_oracle_distribution
 from ionsampler.dd_compiler import PulseSchedule, simulate_schedule
 from ionsampler.linear_optics import (
     BSElement,
@@ -101,9 +100,8 @@ class TestEvolveModes:
         [
             lambda k: evolve_modes(k, 1.0),
             lambda k: simulate_schedule(k, PulseSchedule(2)),
-            lambda k: fock_oracle_distribution(k, (1, 0), duration=1.0),
         ],
-        ids=["evolve_modes", "simulate_schedule", "fock_oracle"],
+        ids=["evolve_modes", "simulate_schedule"],
     )
     def test_generator_consumers_share_hermitian_check(self, consume):
         with pytest.raises(ValueError, match="not Hermitian"):
