@@ -31,6 +31,7 @@ from ionsampler.boson_stats import (
     sample_outcomes,
     samples_from_csv,
     samples_to_csv,
+    text_fields,
     total_variation_distance,
 )
 from ionsampler.linear_optics import beam_splitter_unitary, evolve_modes, haar_unitary
@@ -572,6 +573,21 @@ class TestComparisonAndSerialization:
         if len(samples):
             buf.seek(0)
             np.testing.assert_array_equal(samples_from_csv(buf), samples)
+
+    def test_text_fields_formats_each_value_of_the_range_once(self):
+        # the table runs from the least entry to the largest, gaps included,
+        # and every entry of any shape gathers its value's bytes
+        values = np.array([[3, -1], [0, 3], [-1, 12]])
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            return f"<{v}>"
+
+        fields = text_fields(values, fmt)
+        assert calls == list(range(-1, 13))
+        assert fields.shape == values.shape
+        assert fields.tolist() == [[b"<3>", b"<-1>"], [b"<0>", b"<3>"], [b"<-1>", b"<12>"]]
 
     def test_samples_from_csv_skips_blank_lines(self):
         for text in ("1,0,2\n\n0,3,0\n", "\n  \n1,0,2\n\t \n0,3,0", "1,0,2\r\n \r\n0,3,0\n\n\n"):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -299,6 +300,23 @@ def test_csv_matches_row_writer(true_n, reported, cap, block, monkeypatch):
     readouts_to_csv(true_n, reported, cap, buf)
     assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, cap)
     assert "\0" not in buf.getvalue()
+
+
+def test_csv_tables_grow_with_each_column_range():
+    # true_n and reported_n each spread over 10^5 values: one table per
+    # column stays under a few MB, where a table of every (mode, true_n,
+    # reported_n) key would need 2 x 10^10 entries
+    true_n = np.array([[0, 100_000], [7, 3]] * 3)
+    reported = np.array([[100_000, 0], [2, 99_999]] * 3)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        readouts_to_csv(true_n, reported, 10, buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
+    assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, 10)
 
 
 @pytest.mark.parametrize("fidelity", [0.75, 0.99, 1.0])
