@@ -22,6 +22,7 @@ which fix its outcomes: the rows of one cached table, in canonical order.
 from __future__ import annotations
 
 import io
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +47,7 @@ __all__ = [
     "total_variation_distance",
     "distribution_to_json",
     "distribution_from_json",
+    "write_distribution_json",
     "samples_to_csv",
     "samples_from_csv",
 ]
@@ -448,7 +450,8 @@ def fock_oracle_distribution(
 def check_samples(samples, num_modes: int, num_bosons: int, label: str = "sample") -> np.ndarray:
     """``samples`` as an int64 (K, M) array.  No rows, or a row that is not an
     outcome of N bosons in M modes (another length, a negative or fractional
-    entry, or another total), raises ValueError naming the first as ``label`` k."""
+    entry, or another total), raises ValueError naming the first as ``label`` k.
+    Whole-array reductions decide; a per-row mask is built only to name it."""
     try:
         table = np.asarray(samples)
     except ValueError:  # ragged rows: each not of M entries stands in as a row of -1
@@ -459,15 +462,18 @@ def check_samples(samples, num_modes: int, num_bosons: int, label: str = "sample
         raise ValueError(f"{label}s must be rows of occupations, got shape {table.shape}")
     if table.dtype.kind not in "iuf":
         raise ValueError(f"{label}s must be integer occupations, not {table.dtype}")
-    foreign = (table < 0).any(axis=1) | (table.sum(axis=1) != num_bosons)
-    foreign |= table.shape[1] != num_modes
-    if table.dtype.kind == "f":
+    total = np.zeros(len(table), dtype=np.result_type(table.dtype, np.int64))
+    for column in table.T:  # a sum along each short row costs several times more
+        total += column
+    fractional = table.dtype.kind == "f" and not (table == np.round(table)).all()
+    if table.shape[1] == num_modes and table.min() >= 0 and not fractional and (total == num_bosons).all():
+        return table.astype(np.int64, copy=False)
+    foreign = (table < 0).any(axis=1) | (total != num_bosons) | (table.shape[1] != num_modes)
+    if fractional:
         foreign |= (table != np.round(table)).any(axis=1)
-    if foreign.any():
-        k = int(np.argmax(foreign))
-        raise ValueError(f"{label} {k} {tuple(np.asarray(samples[k]).tolist())} is not an outcome "
-                         f"of {num_bosons} bosons in {num_modes} modes")
-    return table.astype(np.int64, copy=False)
+    k = int(np.argmax(foreign))
+    raise ValueError(f"{label} {k} {tuple(np.asarray(samples[k]).tolist())} is not an outcome "
+                     f"of {num_bosons} bosons in {num_modes} modes")
 
 
 def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeDistribution:
@@ -479,11 +485,31 @@ def empirical_distribution(samples, num_modes: int, num_bosons: int) -> OutcomeD
     return OutcomeDistribution(num_modes, num_bosons, "empirical", probs)
 
 
+def _guide_search(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys, side="right")`` for a non-decreasing cdf
+    ending in 1.0 and keys in [0, 1), by a guide table of K = len(cdf) buckets
+    (Chen & Asau, AIIE Trans. 6, 163 (1974)).  Bucket int(x * K) never falls
+    as x grows, so a key's index lies between the first cdf entry of its
+    bucket and the first of the next one; a bisection over the widest
+    bucket's width finds it, one array pass per step for every key.
+    """
+    count = len(cdf)
+    first = np.searchsorted((cdf * count).astype(np.intp), np.arange(count + 2))
+    pos = first[(keys * count).astype(np.intp)]
+    step = 1 << int(np.diff(first).max()).bit_length()  # past the widest bucket
+    cdf = np.concatenate([cdf, np.full(step, np.inf)])  # so no step reads past the end
+    while step > 1:
+        step >>= 1
+        pos += step * (cdf[pos + (step - 1)] <= keys)
+    return pos
+
+
 def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.ndarray:
     """Inverse-CDF draws from an exact/oracle distribution; PCG64-seeded.
 
     Returns an (num_samples, M) int64 array.  Identical seeds give
-    identical arrays; the generator is numpy's default PCG64 stream.
+    identical arrays; the generator is numpy's default PCG64 stream.  The
+    cdf is searched through a guide table (:func:`_guide_search`).
     """
     if dist.provenance not in ("exact", "fock_oracle"):
         raise ValueError(f"refusing to sample from {dist.provenance!r} distribution")
@@ -494,7 +520,7 @@ def sample_outcomes(dist: OutcomeDistribution, num_samples: int, seed) -> np.nda
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cdf, rng.random(num_samples), side="right")
+    idx = _guide_search(cdf, rng.random(num_samples))
     return dist.table[np.minimum(idx, len(dist.table) - 1)].astype(np.int64)
 
 
@@ -535,8 +561,11 @@ def distribution_from_json(data: dict) -> OutcomeDistribution:
 
 
 def write_fields(fields: np.ndarray, fh) -> None:
-    """Write an array of NUL-padded bytes fields as their text in C order, padding dropped."""
-    fh.write(fields.tobytes().translate(None, b"\0").decode())
+    """Write an array of NUL-padded bytes fields as their text in C order, padding
+    dropped: a pass over the bytes finds whether any is NUL, which is cheaper
+    than the pass that removes them."""
+    data = fields.tobytes()
+    fh.write((data.translate(None, b"\0") if b"\0" in data else data).decode())
 
 
 def text_fields(values: np.ndarray, fmt) -> np.ndarray:
@@ -544,6 +573,35 @@ def text_fields(values: np.ndarray, fmt) -> np.ndarray:
     from the least entry to the largest formatted once and looked up."""
     low = int(values.min())
     return np.array([fmt(v) for v in range(low, int(values.max()) + 1)], dtype="S")[values - low]
+
+
+def write_distribution_json(dist: OutcomeDistribution, fh, **extra) -> None:
+    """Write ``json.dumps({**distribution_to_json(dist), **extra})``, byte for
+    byte, built from arrays a block of CSV_BLOCK_LINES rows at a time.
+
+    Each row is a record of bytes fields: its lead, its occupations looked up
+    by :func:`text_fields` in the cached outcome table, and its probability
+    as ``float.__repr__`` writes it, which is what ``json.dumps`` writes for
+    a finite float (a block that holds another is formatted by ``json.dumps``).
+    """
+    head = json.dumps({"m": dist.num_modes, "n": dist.num_bosons, "provenance": dist.provenance})
+    fh.write(head[:-1] + ', "outcomes": [')
+    table, probs = dist.table, dist.probabilities
+    for first in range(0, len(table), CSV_BLOCK_LINES):
+        block = table[first:first + CSV_BLOCK_LINES]
+        p = probs[first:first + CSV_BLOCK_LINES]
+        fmt = float.__repr__ if np.isfinite(p).all() else json.dumps
+        s = text_fields(block, "{}, ".format)
+        s[:, -1] = text_fields(block[:, -1], "{}".format)
+        fields = {"lead": np.array(b', {"s": ['), "s": s, "mid": np.array(b'], "p": '),
+                  "p": np.array(list(map(fmt, p.tolist())), dtype="S"), "end": np.array(b"}")}
+        rows = np.empty(len(block), dtype=[(name, f.dtype, f.shape[1:]) for name, f in fields.items()])
+        for name, f in fields.items():
+            rows[name] = f
+        if not first:
+            rows["lead"][0] = b'{"s": ['
+        write_fields(rows, fh)
+    fh.write("]" + "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in extra.items()) + "}")
 
 
 def samples_to_csv(samples, fh) -> None:

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
-One subcommand per pipeline stage plus ``all``.  Every subcommand takes
-the same flags; single-stage invocations read upstream artifacts from
-the output directory and fail (exit 1) when those are missing.
+One positional STAGE, a pipeline stage or ``all``, and the same flags for
+every stage; single-stage invocations read upstream artifacts from the
+output directory and fail (exit 1) when those are missing.
 
 Exit codes: 0 success, 1 configuration, validation or normalization error,
 2 equilibrium solver failure, 3 verify-stage tolerance violation.
@@ -45,18 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trapped-ion boson sampling: chain physics, pulse "
         "compilation, exact sampling, and detection simulation.",
     )
-    sub = parser.add_subparsers(dest="stage", required=True, metavar="STAGE")
-    for name in (*STAGES, "all"):
-        p = sub.add_parser(name, help=_STAGE_HELP[name])
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--output", default="out", help="artifact directory (default: ./out)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="override every stage seed (target, sampling, detection)",
-        )
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("stage", choices=(*STAGES, "all"), metavar="STAGE",
+                        help="; ".join(f"{name}: {text}" for name, text in _STAGE_HELP.items()))
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--output", default="out", help="artifact directory (default: ./out)")
+    parser.add_argument("--seed", type=int, help="override every stage seed (target, sampling, detection)")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 

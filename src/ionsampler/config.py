@@ -212,8 +212,11 @@ def parse_config(data: dict) -> RunConfig:
     sampling = root.spec("sampling", SamplingSpec, num_samples=positive, seed=_SEED)
     detection = root.spec("detection", DetectionSpec, max_repetitions=positive, seed=_SEED)
     tolerances = root.spec("tolerances", Tolerances, unitarity=non_negative, normalization=non_negative)
-    if not tolerances.solver > 0:  # the chain solver runs until its residual is below it
-        raise ConfigError(f"config.tolerances.solver: must be > 0, got {tolerances.solver}")
+    # the chain solver runs until its residual is below its tolerance, and no
+    # computed unitary meets a unitarity tolerance of 0
+    for name, value in (("solver", tolerances.solver), ("unitarity", tolerances.unitarity)):
+        if not value > 0:
+            raise ConfigError(f"config.tolerances.{name}: must be > 0, got {value}")
 
     root.finish()
     return RunConfig(trap, tuple(occupations), TargetSpec(kind, seed, path), dd, sampling, detection, tolerances)

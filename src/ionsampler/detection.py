@@ -122,8 +122,10 @@ def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> 
         raise ValueError("true_n must be >= 0")
     reported = np.empty(true_n.size, dtype=np.int64)
     dark = np.arange(true_n.size)
-    dark_n = true_n.ravel()
-    for rounds_before in range(params.max_repetitions):
+    # a round reads n > r only for r below the cap, which min(n, cap) keeps
+    cap = params.max_repetitions
+    dark_n = np.minimum(true_n.ravel(), cap).astype(np.min_scalar_type(cap))
+    for rounds_before in range(cap):
         if not dark.size:
             break
         reported[dark] = rounds_before  # kept by the modes that report bright now
@@ -131,7 +133,7 @@ def measure_modes(true_n, params: DetectionParams, rng: np.random.Generator) -> 
         # truly dark while phonons remain; an honest dark or a lying bright stays
         stay = np.flatnonzero((dark_n > rounds_before) == honest)
         dark, dark_n = dark[stay], dark_n[stay]
-    reported[dark] = params.max_repetitions  # overflow
+    reported[dark] = cap  # overflow
     return reported.reshape(true_n.shape)
 
 
@@ -158,24 +160,27 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
     One line per trial and mode, trials in order and modes numbered from 1;
     repetitions equal reported_n, and overflow is reported_n reaching
     ``max_repetitions``.  The lines are written a block of about
-    CSV_BLOCK_LINES at a time, each a record of four fixed-width bytes
-    fields: the trial number, built digit by digit, then ``,mode,``,
-    ``true_n,`` and ``reported_n,repetitions,overflow`` with the line's end,
-    each looked up by :func:`text_fields` in a table of its column's values.
+    CSV_BLOCK_LINES at a time, and a block also ends where the trial number
+    gains a digit, so its trial numbers are all of one width.  Each line is
+    a record of four fixed-width bytes fields: the trial number, built digit
+    by digit, then ``,mode,``, ``true_n,`` and
+    ``reported_n,repetitions,overflow`` with the line's end, each looked up
+    by :func:`text_fields` in a table of its column's values.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     reported = np.asarray(reported, dtype=np.int64)
     trials, modes = true_n.shape
     fh.write(CSV_HEADER + "\n")
     step = max(1, CSV_BLOCK_LINES // max(modes, 1))
-    for first in range(0, trials, step):
-        last = min(first + step, trials)
+    cuts = [10**k for k in range(1, len(str(trials)))]  # where the trial numbers gain a digit
+    bounds = sorted({*range(0, trials, step), *cuts, trials})
+    for first, last in zip(bounds, bounds[1:]):
         n, r = true_n[first:last], reported[first:last]
         t = np.arange(first, last)
-        width = len(str(last - 1))  # digits of the block's last trial
-        heads = np.zeros((last - first, width), dtype=np.uint8)
-        for k in range(width):  # the digit of 10^k, NUL before the leading digit
-            heads[:, -1 - k] = np.where((t >= 10**k) | (k == 0), ord("0") + t // 10**k % 10, 0)
+        width = len(str(first))
+        heads = np.empty((last - first, width), dtype=np.uint8)
+        for k in range(width):  # the digit of 10^k
+            heads[:, -1 - k] = ord("0") + t // 10**k % 10
         fields = {"head": heads.view(f"S{width}"),
                   "mode": text_fields(np.arange(1, modes + 1), ",{},".format),
                   "n": text_fields(n, "{},".format),

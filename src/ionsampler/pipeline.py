@@ -25,7 +25,6 @@ from . import ion_chain
 from .boson_stats import (
     check_samples,
     distribution_from_json,
-    distribution_to_json,
     empirical_distribution,
     exact_distribution,
     fock_oracle_distribution,
@@ -34,6 +33,7 @@ from .boson_stats import (
     samples_from_csv,
     samples_to_csv,
     total_variation_distance,
+    write_distribution_json,
 )
 from .config import RunConfig
 from .dd_compiler import PulseSchedule, compile_elements, simulate_schedule
@@ -91,6 +91,13 @@ def _json(encode=lambda v: v, decode=None):
             decode and (lambda fh: decode(json.load(fh))))
 
 
+def _write_distribution(value, fh) -> None:
+    """The line ``_json`` writes for ``{**distribution_to_json(dist), "source": source}``."""
+    dist, source = value
+    write_distribution_json(dist, fh, source=source)
+    fh.write("\n")
+
+
 # Every artifact of the output directory: the stage that writes it, how a
 # value is written to an open file and, for one a later stage reads, how the
 # value is read back.  Names are looked up when called, so wrappers put on
@@ -110,9 +117,8 @@ ARTIFACTS = {
         lambda schedule: schedule.to_json(), lambda d: PulseSchedule.from_json(d))),
     "simulated_unitary.json": ("simulate", *_json(
         lambda u: matrix_to_json(u), lambda d: matrix_from_json(d))),
-    "distribution.json": ("distribution", *_json(
-        lambda v: {**distribution_to_json(v[0]), "source": v[1]},
-        lambda d: (distribution_from_json(d), d.get("source")))),
+    "distribution.json": ("distribution", _write_distribution,
+                          _json(decode=lambda d: (distribution_from_json(d), d.get("source")))[1]),
     "samples.csv": ("sample", lambda v, fh: samples_to_csv(v, fh),
                     lambda fh: samples_from_csv(fh)),
     "readouts.csv": ("detect", lambda v, fh: readouts_to_csv(*v, fh), None),
@@ -160,8 +166,9 @@ class ArtifactDir:
             with open(tmp, "w") as fh:
                 dump(value, fh)
             os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)  # only still there if the write failed
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         if load:
             self._hold(name, value)
 

@@ -507,6 +507,34 @@ class TestSampling:
         b = sample_outcomes(dist, 1000, seed=2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dist", [
+        exact_distribution(np.fft.fft(np.eye(4)) / 2, (1, 1, 1, 1)),  # runs of zero probability
+        exact_distribution(haar_unitary(8, seed=3), (1,) * 6 + (0, 0)),
+        exact_distribution(haar_unitary(8, seed=4), (1,) * 8),
+    ], ids=["fourier-4-4", "haar-8-6", "haar-8-8"])
+    def test_guide_search_is_searchsorted(self, dist):
+        cdf = np.cumsum(dist.probabilities)
+        cdf[-1] = 1.0
+        count = len(cdf)
+        keys = np.concatenate([
+            np.random.default_rng(5).random(20_000),
+            cdf, np.nextafter(cdf, 0),  # at each cdf value and just below it
+            np.arange(count) / count, np.nextafter(np.arange(1, count + 1) / count, 0),  # bucket edges
+            [0.0, np.nextafter(1.0, 0)],
+        ])
+        keys = keys[(keys >= 0) & (keys < 1)]
+        np.testing.assert_array_equal(boson_stats._guide_search(cdf, keys),
+                                      np.searchsorted(cdf, keys, side="right"))
+
+    @pytest.mark.parametrize("m, inputs", [(4, (1, 1, 1, 1)), (5, (2, 1, 0, 0, 3)), (8, (1,) * 6 + (0, 0))])
+    def test_draws_are_the_searchsorted_draws(self, m, inputs):
+        dist = exact_distribution(haar_unitary(m, seed=9), inputs)
+        cdf = np.cumsum(dist.probabilities)
+        cdf[-1] = 1.0
+        index = np.searchsorted(cdf, np.random.default_rng(21).random(5000), side="right")
+        np.testing.assert_array_equal(sample_outcomes(dist, 5000, seed=21),
+                                      dist.table[np.minimum(index, len(cdf) - 1)])
+
     def test_empirical_close_to_exact(self):
         dist = exact_distribution(BALANCED, (1, 1))
         samples = sample_outcomes(dist, 20_000, seed=12)
@@ -531,6 +559,30 @@ class TestSampling:
         samples = [row] * 3 if len(row) != 4 else good + [row] + good
         with pytest.raises(ValueError, match=re.escape(bad) + " is not an outcome of 3 bosons in 4 modes"):
             empirical_distribution(samples, 4, 3)
+
+    @pytest.mark.parametrize("samples, message", [
+        ([[1, 1], [3, -1], [0, 2]], "sample 1 (3, -1) is not an outcome of 2 bosons in 2 modes"),
+        ([[1, 1], [2, 0], [1, 0]], "sample 2 (1, 0) is not an outcome of 2 bosons in 2 modes"),
+        ([[1.0, 1.0], [0.5, 1.5]], "sample 1 (0.5, 1.5) is not an outcome of 2 bosons in 2 modes"),
+        ([[1.0, 1.0], [np.nan, 2.0]], "sample 1 (nan, 2.0) is not an outcome of 2 bosons in 2 modes"),
+        ([[1, 1], [2, 0, 0], [0, 2]], "sample 1 (2, 0, 0) is not an outcome of 2 bosons in 2 modes"),
+        ([[1, 1, 0], [2, 0, 0]], "sample 0 (1, 1, 0) is not an outcome of 2 bosons in 2 modes"),
+        ([[0, 2], [4, -2], [3, -1]], "sample 1 (4, -2) is not an outcome of 2 bosons in 2 modes"),
+        ([[True, True]], "samples must be integer occupations, not bool"),
+        ([], "no samples"),
+        ([1, 1], "samples must be rows of occupations, got shape (2,)"),
+    ], ids=["negative", "total", "fractional", "nan", "ragged", "length", "negative-summing-right",
+            "bool", "empty", "flat"])
+    def test_check_samples_messages(self, samples, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            check_samples(samples, 2, 2)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.float32, np.float64])
+    def test_check_samples_accepts_every_outcome_as_int64(self, dtype):
+        table = boson_stats._outcome_table(4, 5)
+        checked = check_samples(table.astype(dtype), 4, 5)
+        assert checked.dtype == np.int64
+        np.testing.assert_array_equal(checked, table)
 
     def test_empirical_provenance_not_samplable(self):
         dist = exact_distribution(BALANCED, (1, 1))
@@ -614,6 +666,30 @@ class TestComparisonAndSerialization:
         assert back.table.dtype == dist.table.dtype
         assert back.probabilities.tolist() == dist.probabilities.tolist()
         assert total_variation_distance(back, dist) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    @pytest.mark.parametrize("block", [boson_stats.CSV_BLOCK_LINES, 7])
+    def test_distribution_writer_is_json_dumps(self, m, n, block, monkeypatch):
+        monkeypatch.setattr(boson_stats, "CSV_BLOCK_LINES", block)
+        inputs = tuple(np.bincount(np.arange(n) % m, minlength=m))
+        dist = exact_distribution(haar_unitary(m, seed=m + n), inputs)
+        buf = io.StringIO()
+        boson_stats.write_distribution_json(dist, buf, source="simulated")
+        assert buf.getvalue() == json.dumps({**distribution_to_json(dist), "source": "simulated"})
+
+    @pytest.mark.parametrize("inputs, probabilities, extra", [
+        ((3, 0, 1), None, {}),  # bunched
+        ((2, 0), [-0.0, -1e-13, 5e-324], {"source": "target"}),
+        ((1, 1), [np.nan, np.inf, 1e300], {"source": 'quote " and \u00e9', "k": [1, 2.5]}),
+    ], ids=["bunched", "hand-set", "non-finite"])
+    def test_distribution_writer_matches_json_dumps_on_edge_values(self, inputs, probabilities, extra):
+        dist = exact_distribution(haar_unitary(len(inputs), seed=6), inputs)
+        if probabilities is not None:
+            dist = boson_stats.OutcomeDistribution(len(inputs), sum(inputs), 'exact "quoted"', probabilities)
+        buf = io.StringIO()
+        boson_stats.write_distribution_json(dist, buf, **extra)
+        assert buf.getvalue() == json.dumps({**distribution_to_json(dist), **extra})
 
     @pytest.mark.parametrize("row, bad", [
         ([1.5, 0.5], "outcome 1 (1.5, 0.5)"),  # not integers

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ionsampler.boson_stats import OUTCOME_MAX_COUNT, exact_distribution
-from ionsampler.cli import main
+from ionsampler.cli import build_parser, main
 from ionsampler.linear_optics import haar_unitary
 from ionsampler.pipeline import STAGES, matrix_from_json, matrix_to_json
 
@@ -345,6 +345,13 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: config.tolerances.solver: must be > 0")
         assert not out.exists()
 
+    def test_zero_unitarity_tolerance_is_exit_1_before_any_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path, tolerances={"unitarity": 0})
+        out = tmp_path / "out"
+        assert run("all", config, out, "--quiet") == 1
+        assert capsys.readouterr().err == "error: config.tolerances.unitarity: must be > 0, got 0.0\n"
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_1(self, tmp_path, capsys):
         # a zero normalization tolerance refuses every sum but exactly 1.0,
         # and this run's simulated unitary gives a sum that rounds off it
@@ -519,6 +526,39 @@ def test_runs_without_scipy(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+class TestParser:
+    def test_help_names_every_stage_and_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for word in (*(f"{stage}:" for stage in (*STAGES, "all")), "--config", "--output", "--seed", "--quiet"):
+            assert word in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus", "--config", "run.json"], "argument STAGE: invalid choice: 'bogus'"),
+        (["all"], "the following arguments are required: --config"),
+        (["--config", "run.json"], "the following arguments are required: STAGE"),
+        (["all", "--config", "run.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ], ids=["unknown-stage", "no-config", "no-stage", "bad-seed"])
+    def test_usage_errors_are_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_defaults(self):
+        args = build_parser().parse_args(["verify", "--config", "run.json"])
+        assert (args.stage, args.config, args.output, args.seed, args.quiet) == (
+            "verify", "run.json", "out", None, False)
+
+    def test_flags_may_come_before_the_stage(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--output", str(out), "--quiet", "positions"]) == 0
+        assert (out / "positions.json").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -151,6 +151,23 @@ def test_zero_solver_tolerance_rejected():
         parse_config(data)
 
 
+@pytest.mark.parametrize("value", [0, 0.0])
+def test_zero_unitarity_tolerance_rejected(value):
+    # no computed unitary meets it, so decompose would refuse the target only
+    # after the chain stages had written their artifacts
+    data = minimal_config()
+    data["tolerances"] = {"unitarity": value}
+    with pytest.raises(ConfigError, match=r"^config\.tolerances\.unitarity: must be > 0, got 0\.0$"):
+        parse_config(data)
+
+
+def test_zero_normalization_tolerance_accepted():
+    # it refuses only a distribution whose sum is not exactly 1.0
+    data = minimal_config()
+    data["tolerances"] = {"normalization": 0}
+    assert parse_config(data).tolerances.normalization == 0.0
+
+
 def test_bad_dd_scheme():
     data = minimal_config()
     data["dd"] = {"scheme": "random"}

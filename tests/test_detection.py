@@ -302,6 +302,21 @@ def test_csv_matches_row_writer(true_n, reported, cap, block, monkeypatch):
     assert "\0" not in buf.getvalue()
 
 
+@pytest.mark.parametrize("two_digit", [False, True], ids=["single-digit", "two-digit"])
+@pytest.mark.parametrize("block", [detection.CSV_BLOCK_LINES, 7, 1])
+def test_csv_blocks_end_where_the_trial_number_gains_a_digit(two_digit, block, monkeypatch):
+    # single-digit values fill every field exactly, so no block holds a NUL;
+    # one reading of 10 makes its column's fields padded and stripped again
+    monkeypatch.setattr(detection, "CSV_BLOCK_LINES", block)
+    true_n = np.random.default_rng(29).integers(0, 6, size=(10_001, 3))
+    reported = np.minimum(true_n, 9)
+    if two_digit:
+        reported[5_000, 1] = 10
+    buf = io.StringIO()
+    readouts_to_csv(true_n, reported, 10, buf)
+    assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, 10)
+
+
 def test_csv_tables_grow_with_each_column_range():
     # true_n and reported_n each spread over 10^5 values: one table per
     # column stays under a few MB, where a table of every (mode, true_n,
