@@ -66,8 +66,9 @@ FOCK_MAX_ENTRIES = 3_600_000
 # At M = 16, N = 8 (490 314 outcomes, Haar, each run alone in a fresh process
 # on 2 CPUs) the outcome table is 7.8 MB and exact_distribution takes 1.3-1.5 s
 # and peaks at 66 MB RSS, 30 MB above the interpreter and numpy.  The stages
-# cost more, for the JSON rows of distribution.json: distribution takes 5.2 s
-# and peaks at 335 MB, sample 3.8 s and 306 MB, verify 3.4 s and 307 MB.
+# that parse the JSON rows of distribution.json cost more: sample takes 2.6 s
+# and peaks at 311 MB, verify 2.5 s and 312 MB; distribution, which writes
+# them a block at a time, takes 1.6 s and 63 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written, so memory does not grow with
 # the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
