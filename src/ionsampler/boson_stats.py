@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,6 +74,8 @@ OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written, so memory does not grow with
 # the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
 CSV_BLOCK_LINES = 1 << 15
+# Adjacent fields with at most this many combinations of values share a table (write_lines).
+MERGED_TABLE_ENTRIES = 4096
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # Complex entries per array in the chunked Glynn product (256 kB, cache-sized),
 # and outcomes per chunk of row indices.  The only larger arrays hold signed
@@ -308,17 +311,17 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
 
 def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
     """Position of each row of a (K, M) array of outcomes of N bosons in the
-    :func:`enumerate_outcomes` order, one pass per mode: with r bosons left for
-    k modes, C(r - s + k - 2, k - 1) outcomes put more than s in the first."""
+    :func:`enumerate_outcomes` order, one pass per mode (a contiguous column): with
+    r bosons left for k modes, C(r - s + k - 2, k - 1) outcomes put more than s first."""
     m = outcomes.shape[1]
-    table = np.array(  # [r - s, k - 2]: at most C(N + M - 2, N - 1), below the outcome count
-        [[comb(d + k - 2, k - 1) for k in range(2, m + 1)] for d in range(num_bosons + 1)],
+    table = np.array(  # [m - k, r - s]: at most C(N + M - 2, N - 1), below the outcome count
+        [[comb(d + k - 2, k - 1) for d in range(num_bosons + 1)] for k in range(m, 1, -1)],
         dtype=np.int64,
-    ).reshape(num_bosons + 1, m - 1)
+    ).reshape(m - 1, num_bosons + 1)
     rank, left = np.zeros(len(outcomes), dtype=np.int64), np.full(len(outcomes), num_bosons)
-    for i in range(m - 1):
-        rank += table[left - outcomes[:, i], m - i - 2]
-        left -= outcomes[:, i]
+    for row, column in zip(table, np.ascontiguousarray(outcomes.T)):
+        rank += row[left - column]
+        left -= column
     return rank
 
 
@@ -561,62 +564,108 @@ def distribution_from_json(data: dict) -> OutcomeDistribution:
     return OutcomeDistribution(m, n, data["provenance"], [row["p"] for row in data["outcomes"]])
 
 
-def write_fields(fields: np.ndarray, fh) -> None:
-    """Write an array of NUL-padded bytes fields as their text in C order, padding
-    dropped: a pass over the bytes finds whether any is NUL, which is cheaper
-    than the pass that removes them."""
-    data = fields.tobytes()
-    fh.write((data.translate(None, b"\0") if b"\0" in data else data).decode())
-
-
-def text_fields(values: np.ndarray, fmt) -> np.ndarray:
-    """The bytes of ``fmt(v)`` for each entry v of an integer array, each value
-    from the least entry to the largest formatted once and looked up."""
+def text_fields(values, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """The value table of an integer array: the bytes of ``fmt(v)`` for each v from
+    the least entry to the largest, each formatted once, and each entry's index in it."""
     low = int(values.min())
-    return np.array([fmt(v) for v in range(low, int(values.max()) + 1)], dtype="S")[values - low]
+    table = np.array([fmt(v) for v in range(low, int(values.max()) + 1)], dtype="S")
+    index = values.astype(np.intp, copy=False)
+    return table, index - low if low else index
+
+
+def write_lines(fields, fh) -> None:
+    """Write lines of bytes fields, each a (table, index) pair: an array of bytes (or
+    uint8 rows) and integer indexes into it that broadcast to the lines' shape.
+
+    Adjacent fields whose tables combine in at most MERGED_TABLE_ENTRIES ways form a
+    run, gathered by one mixed-radix index.  A line is W bytes, each field NUL-padded
+    to its table's width, stored as little-endian q-byte words at bytes 0, q, ... and
+    W - q (q = 8, or the largest power of two up to W), overlapping words agreeing on
+    the bytes they share.  A word is the OR of the entries of the runs it overlaps,
+    shifted into place and gathered by index.  NULs are dropped when a table has some.
+    """
+    runs, tables = [], {}  # tables: the width, 8-byte chunks and NUL-freedom of each
+    shape = np.broadcast_shapes(*(np.shape(index) for _, index in fields))
+    limit = min(MERGED_TABLE_ENTRIES, math.prod(shape))  # no larger than the lines it serves
+    for table, index in fields:
+        if id(table) not in tables:  # chunk k of every row in row k, little-endian
+            rows = table.view(np.uint8).reshape(len(table), -1)
+            width = rows.shape[1]
+            padded = np.zeros((len(rows), -(-width // 8) * 8), np.uint8)
+            padded[:, :width].view(f"V{width}")[...] = rows.view(f"V{width}")  # a row at a time
+            tables[id(table)] = width, padded.view("<u8").T.copy(), rows.all()
+        if runs and runs[-1][2] * len(table) <= limit:
+            run, head, size = runs.pop()
+            # a single entry has index 0; the new table's index varies slowest
+            index = index if size == 1 else head if len(table) == 1 else head + index * size
+            runs.append((run + [tables[id(table)]], index, size * len(table)))
+        else:
+            runs.append(([tables[id(table)]], index, len(table)))
+    width = sum(w for run, _, _ in runs for w, _, _ in run)
+    q = min(8, 1 << (width.bit_length() - 1))
+    lines = np.empty((*shape, width), np.uint8)
+    for word in sorted({*range(0, width - q + 1, q), width - q}):
+        value, at = None, 0
+        for run, index, _ in runs:
+            span = sum(w for w, _, _ in run)
+            if not at - q < word < at + span:
+                at += span
+                continue
+            entries = None
+            for w, chunks, _ in run:  # entry i of the run: entry i // stride % K of each table
+                part = np.zeros(chunks.shape[1], np.uint64)
+                for k, chunk in enumerate(chunks):  # its bytes that fall in the word
+                    shift = 8 * (at - word + 8 * k)
+                    if -64 < shift < 64:
+                        part |= chunk << shift if shift >= 0 else chunk >> -shift
+                entries = part if entries is None else (part[:, None] | entries).ravel()
+                at += w
+            part = entries[index]
+            value = part if value is None else np.bitwise_or(part, value, out=part if part.shape == shape else None)
+        np.ndarray(shape, f"<u{q}", lines, word, lines.strides[:-1])[...] = value  # its low q bytes
+    nul_free = all(free for _, _, free in tables.values())
+    fh.write(str(lines, "utf-8") if nul_free else lines.tobytes().translate(None, b"\0").decode())
 
 
 def write_distribution_json(dist: OutcomeDistribution, fh, **extra) -> None:
     """Write ``json.dumps({**distribution_to_json(dist), **extra})``, byte for
     byte, built from arrays a block of CSV_BLOCK_LINES rows at a time.
 
-    Each row is a record of bytes fields: its lead, its occupations looked up
-    by :func:`text_fields` in the cached outcome table, and its probability
-    as ``float.__repr__`` writes it, which is what ``json.dumps`` writes for
-    a finite float (a block that holds another is formatted by ``json.dumps``).
+    Each row is a line of :func:`write_lines` fields: its lead, its occupations
+    from value tables (:func:`text_fields`) of the cached outcome table, and its
+    probability as ``float.__repr__`` writes it, which is what ``json.dumps`` writes
+    for a finite float (a block that holds another is formatted by ``json.dumps``).
     """
     head = json.dumps({"m": dist.num_modes, "n": dist.num_bosons, "provenance": dist.provenance})
     fh.write(head[:-1] + ', "outcomes": [')
     table, probs = dist.table, dist.probabilities
+    leads = np.array([b', {"s": [', b'{"s": ['])
     for first in range(0, len(table), CSV_BLOCK_LINES):
         block = table[first:first + CSV_BLOCK_LINES]
         p = probs[first:first + CSV_BLOCK_LINES]
         fmt = float.__repr__ if np.isfinite(p).all() else json.dumps
-        s = text_fields(block, "{}, ".format)
-        s[:, -1] = text_fields(block[:, -1], "{}".format)
-        fields = {"lead": np.array(b', {"s": ['), "s": s, "mid": np.array(b'], "p": '),
-                  "p": np.array(list(map(fmt, p.tolist())), dtype="S"), "end": np.array(b"}")}
-        rows = np.empty(len(block), dtype=[(name, f.dtype, f.shape[1:]) for name, f in fields.items()])
-        for name, f in fields.items():
-            rows[name] = f
-        if not first:
-            rows["lead"][0] = b'{"s": ['
-        write_fields(rows, fh)
+        lead = np.zeros(len(block), dtype=np.intp)
+        lead[0] = first == 0
+        s, index = text_fields(block, "{}, ".format)
+        write_lines([(leads, lead), *((s, column) for column in index.T[:-1]),
+                     text_fields(block[:, -1], "{}".format), (np.array([b'], "p": ']), 0),
+                     (np.array(list(map(fmt, p.tolist())), dtype="S"), np.arange(len(block))),
+                     (np.array([b"}"]), 0)], fh)
     fh.write("]" + "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in extra.items()) + "}")
 
 
 def samples_to_csv(samples, fh) -> None:
     """One comma-separated occupation vector per line, no header.
 
-    The lines are written a block of CSV_BLOCK_LINES at a time, every field
-    by :func:`text_fields`: ``v,``, and ``v\n`` in the last column.
+    The lines are written by :func:`write_lines` a block of CSV_BLOCK_LINES at a
+    time, from value tables (:func:`text_fields`): ``v,``, ``v\n`` in the last column.
     """
     samples = np.asarray(samples, dtype=np.int64)
     for first in range(0, len(samples), CSV_BLOCK_LINES):
         block = samples[first:first + CSV_BLOCK_LINES]
-        pieces = text_fields(block, "{},".format)
-        pieces[:, -1] = text_fields(block[:, -1], "{}\n".format)
-        write_fields(pieces, fh)
+        table, index = text_fields(block, "{},".format)
+        write_lines([*((table, column) for column in index.T[:-1]),
+                     text_fields(block[:, -1], "{}\n".format)], fh)
 
 
 def samples_from_csv(fh) -> np.ndarray:

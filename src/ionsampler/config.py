@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
 
 from .boson_stats import NORMALIZATION_TOL
 from .dd_compiler import DEFAULT_N_SUB, DEFAULT_SCHEME, SCHEMES
@@ -101,6 +100,8 @@ _KINDS = {
     float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
     str: ("a string", lambda v: isinstance(v, str)),
 }
+# A field's annotation is its kind's name: every module here defers annotations.
+_KIND_NAMES = {kind.__name__: kind for kind in _KINDS}
 
 
 class _Section:
@@ -147,8 +148,7 @@ class _Section:
         """The optional subsection ``key`` as the dataclass ``cls``, by the types and
         defaults of its fields; ``limits`` maps a field to its ``minimum`` or ``choices``."""
         section = self.subsection(key, default={})
-        kinds = get_type_hints(cls)
-        values = {f.name: section.value(f.name, kinds[f.name], f.default, **limits.get(f.name, {}))
+        values = {f.name: section.value(f.name, _KIND_NAMES[f.type], f.default, **limits.get(f.name, {}))
                   for f in fields(cls)}
         section.finish()
         return section.build(cls, **values)

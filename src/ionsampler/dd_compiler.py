@@ -243,10 +243,9 @@ def nn_isolation_pattern(dim: int, pair_index: int) -> SignPattern:
 def _hadamard_generators(dim: int, pair_index: int) -> tuple[SignPattern, ...]:
     """Generator j of the Hadamard scheme is (-1)^(bit j of each mode's row)."""
     _check_pair(pair_index, dim)
-    i = np.arange(dim)
-    rows = np.where(i < pair_index - 1, i + 1, np.where(i > pair_index, i - 1, 0))
-    bits = (rows[:, None] >> np.arange((dim - 2).bit_length())) & 1
-    return tuple(SignPattern(tuple(col)) for col in (1 - 2 * bits).T.tolist())
+    rows = [*range(1, pair_index), 0, 0, *range(pair_index, dim - 1)]
+    return tuple(SignPattern(tuple([1 - 2 * (r >> j & 1) for r in rows]))
+                 for j in range((dim - 2).bit_length()))
 
 
 def hadamard_slice_patterns(dim: int, pair_index: int) -> list[SignPattern]:
@@ -347,12 +346,12 @@ def compile_unitary(
 
 
 def _unitary_power(period: np.ndarray, n: int) -> np.ndarray:
-    """``period ** n`` for a period that is unitary up to rounding: repeated squaring,
+    """``period ** n`` for periods (one or a stack) unitary up to rounding: squarings,
     then one Newton-Schulz step x (3 - x^dag x) / 2 onto the nearest unitary (Bjorck &
     Bowie, SIAM J. Numer. Anal. 8, 358 (1971)).  The step squares the unitarity defect,
     so the rounding of the slice products does not compound over the repetitions."""
     x = np.linalg.matrix_power(period, n)
-    return x @ (1.5 * np.eye(len(x)) - 0.5 * (x.conj().T @ x))
+    return x @ (1.5 * np.eye(x.shape[-1]) - 0.5 * (x.conj().swapaxes(-1, -2) @ x))
 
 
 def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
@@ -361,8 +360,8 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     A slice in sign frame S evolves as S exp(-i K tau) S.  Per generator H_j of a
     block, the forward product F becomes (H_j F H_j) F and the mirrored R becomes
     R (H_j R H_j); numpy matrix products raise the period R F to ``n_sub``
-    (:func:`_unitary_power`).  A phase event is a diagonal matrix.  Steps compose in
-    list order.
+    (:func:`_unitary_power`), all blocks of one generator count and ``n_sub`` as one
+    (B, M, M) stack.  A phase event is a diagonal matrix.  Steps compose in list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
@@ -370,14 +369,22 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
             f"coupling dim {k.shape[0]} does not match schedule dim {schedule.dim}"
         )
     w, v = np.linalg.eigh(k)  # once per call: exp(-i K t) = v exp(-i w t) v^dag
+    periods: dict = {}  # the blocks of each (generator count, n_sub), then their powered periods
+    for step in schedule.steps:
+        if isinstance(step, DecouplingBlock):
+            periods.setdefault((len(step.generators), step.n_sub), []).append(step)
+    for (count, n_sub), blocks in periods.items():
+        taus = np.array([b.tau for b in blocks])[:, None]
+        signs = np.array([[g.signs for g in b.generators] for b in blocks]).reshape(len(blocks), count, schedule.dim)
+        forward = mirror = (v * np.exp(-1j * w * taus)[:, None, :]) @ v.conj().T
+        for s in signs.swapaxes(0, 1):  # (B, M) signs of generator j
+            flip = s[:, :, None] * s[:, None, :]
+            forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
+        periods[count, n_sub] = iter(_unitary_power(mirror @ forward, n_sub))
     total = np.eye(schedule.dim, dtype=complex)
     for step in schedule.steps:
         if isinstance(step, DecouplingBlock):
-            forward = mirror = (v * np.exp(-1j * w * step.tau)) @ v.conj().T
-            for g in step.generators:
-                flip = np.outer(g.signs, g.signs)
-                forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
-            total = _unitary_power(mirror @ forward, step.n_sub) @ total
+            total = next(periods[len(step.generators), step.n_sub]) @ total
         elif isinstance(step, EvolutionSegment):
             total = (v * np.exp(-1j * w * step.duration)) @ v.conj().T @ total
         else:

@@ -17,9 +17,9 @@ one uniform per mode, compared with the two cumulative weights of the
 leak, then the readout runs round by round with one uniform for each
 mode still dark, and one index of the modes that stay dark per round.  A
 single mode therefore consumes the same draws as a scalar loop, and a
-seeded run reproduces bit-for-bit.  The readouts are written as CSV from
-fixed-width bytes fields, a block of lines at a time, each field looked up
-in a table of its column's values.
+seeded run reproduces bit-for-bit.  The readouts are written as CSV a block
+of lines at a time, each line stored as 8-byte words gathered from tables of
+its columns' values.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boson_stats import CSV_BLOCK_LINES, text_fields, write_fields
+from .boson_stats import CSV_BLOCK_LINES, text_fields, write_lines
 
 __all__ = [
     "DetectionParams",
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "trial,mode,true_n,reported_n,repetitions,overflow_flag"
+# The bytes of 0000 to 9999, a row each: the last four digits of the trial numbers.
+_DIGITS = (ord("0") + np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,12 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
 
     One line per trial and mode, trials in order and modes numbered from 1;
     repetitions equal reported_n, and overflow is reported_n reaching
-    ``max_repetitions``.  The lines are written a block of about
-    CSV_BLOCK_LINES at a time, and a block also ends where the trial number
-    gains a digit, so its trial numbers are all of one width.  Each line is
-    a record of four fixed-width bytes fields: the trial number, built digit
-    by digit, then ``,mode,``, ``true_n,`` and
-    ``reported_n,repetitions,overflow`` with the line's end, each looked up
-    by :func:`text_fields` in a table of its column's values.
+    ``max_repetitions``.  The lines are written by :func:`write_lines` a block of
+    about CSV_BLOCK_LINES at a time, and a block also ends where the trial number
+    gains a digit or its last four wrap to 0000, so its trial numbers share their
+    leading digits and their last four are a slice of _DIGITS.  Then come
+    ``,mode,``, ``true_n,`` and ``reported_n,repetitions,overflow`` with the
+    line's end, each from the value table (:func:`text_fields`) of its column.
     """
     true_n = np.asarray(true_n, dtype=np.int64)
     reported = np.asarray(reported, dtype=np.int64)
@@ -173,19 +174,13 @@ def readouts_to_csv(true_n, reported, max_repetitions: int, fh) -> None:
     fh.write(CSV_HEADER + "\n")
     step = max(1, CSV_BLOCK_LINES // max(modes, 1))
     cuts = [10**k for k in range(1, len(str(trials)))]  # where the trial numbers gain a digit
-    bounds = sorted({*range(0, trials, step), *cuts, trials})
+    bounds = sorted({*range(0, trials, step), *cuts, *range(0, trials, 10_000), trials})
     for first, last in zip(bounds, bounds[1:]):
-        n, r = true_n[first:last], reported[first:last]
-        t = np.arange(first, last)
-        width = len(str(first))
-        heads = np.empty((last - first, width), dtype=np.uint8)
-        for k in range(width):  # the digit of 10^k
-            heads[:, -1 - k] = ord("0") + t // 10**k % 10
-        fields = {"head": heads.view(f"S{width}"),
-                  "mode": text_fields(np.arange(1, modes + 1), ",{},".format),
-                  "n": text_fields(n, "{},".format),
-                  "tail": text_fields(r, lambda v: f"{v},{v},{int(v == max_repetitions)}\n")}
-        lines = np.empty(n.shape, dtype=[(name, f.dtype) for name, f in fields.items()])
-        for name, f in fields.items():
-            lines[name] = f
-        write_fields(lines, fh)
+        high, low = divmod(first, 10_000)
+        digits = _DIGITS[low:low + last - first, max(4 - len(str(first)), 0):]
+        fields = [(np.array([str(high).encode()]), 0)] if high else []
+        write_lines([*fields, (digits, np.arange(last - first)[:, None]),
+                     text_fields(np.arange(1, modes + 1), ",{},".format),
+                     text_fields(true_n[first:last], "{},".format),
+                     text_fields(reported[first:last], lambda v: f"{v},{v},{int(v == max_repetitions)}\n")],
+                    fh)

@@ -139,6 +139,32 @@ def schedule_unitary_longdouble(rates, schedule) -> np.ndarray:
     return total
 
 
+def schedule_unitary_by_blocks(rates, schedule) -> np.ndarray:
+    """The unitary of a compiled schedule, one block at a time in float64: the
+    package's route before its blocks were stacked, kept as the reference its
+    stacked pass must equal bit for bit.  A slice is exp(-i K tau) from one
+    eigendecomposition of K; per generator S the forward product takes F ->
+    (F * S S^T) F and the mirrored one R -> R (R * S S^T); the period R F is raised
+    to n_sub by np.linalg.matrix_power and moved onto the unitaries by one
+    Newton-Schulz step x (3 - x^dag x) / 2.  A segment is exp(-i K t) and a phase
+    event multiplies its mode's row by exp(i phi)."""
+    w, v = np.linalg.eigh(np.asarray(rates))
+    total = np.eye(schedule.dim, dtype=complex)
+    for step in schedule.steps:
+        if hasattr(step, "generators"):
+            forward = mirror = (v * np.exp(-1j * w * step.tau)) @ v.conj().T
+            for g in step.generators:
+                flip = np.outer(g.signs, g.signs)
+                forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
+            x = np.linalg.matrix_power(mirror @ forward, step.n_sub)
+            total = x @ (1.5 * np.eye(len(x)) - 0.5 * (x.conj().T @ x)) @ total
+        elif hasattr(step, "phi"):
+            total[step.mode_index - 1, :] *= np.exp(1j * step.phi)
+        else:
+            total = (v * np.exp(-1j * w * step.duration)) @ v.conj().T @ total
+    return total
+
+
 def decoupling_frames(scheme: str, dim: int, pair: int) -> np.ndarray:
     """The (P, dim) slice signs of a decoupling scheme isolating modes (pair,
     pair + 1), written out slice by slice.

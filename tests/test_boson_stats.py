@@ -626,6 +626,27 @@ class TestComparisonAndSerialization:
             buf.seek(0)
             np.testing.assert_array_equal(samples_from_csv(buf), samples)
 
+    @pytest.mark.parametrize("modes, top", [(1, 9), (2, 9), (3, 9), (4, 9), (1, 12), (3, 12), (4, 12)])
+    @pytest.mark.parametrize("block", [boson_stats.CSV_BLOCK_LINES, 7, 1])
+    def test_samples_csv_short_lines_match_row_writer(self, modes, top, block, monkeypatch):
+        # single digits make lines of 2, 4 and 6 bytes, filled by 1-, 2- and
+        # 4-byte words, and lines of exactly 8 bytes at M = 4; entries up to 12
+        # make some lines longer and pad the others
+        monkeypatch.setattr(boson_stats, "CSV_BLOCK_LINES", block)
+        samples = np.random.default_rng(modes + top).integers(0, top + 1, size=(50, modes))
+        buf = io.StringIO()
+        samples_to_csv(samples, buf)
+        assert buf.getvalue() == oracles.samples_csv_text(samples)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (3, 2), (8, 2)])
+    def test_distribution_writer_is_json_dumps_in_one_row_blocks(self, m, n, monkeypatch):
+        monkeypatch.setattr(boson_stats, "CSV_BLOCK_LINES", 1)
+        inputs = tuple(np.bincount(np.arange(n) % m, minlength=m))
+        dist = exact_distribution(haar_unitary(m, seed=m + n), inputs)
+        buf = io.StringIO()
+        boson_stats.write_distribution_json(dist, buf, source="simulated")
+        assert buf.getvalue() == json.dumps({**distribution_to_json(dist), "source": "simulated"})
+
     def test_text_fields_formats_each_value_of_the_range_once(self):
         # the table runs from the least entry to the largest, gaps included,
         # and every entry of any shape gathers its value's bytes
@@ -636,10 +657,11 @@ class TestComparisonAndSerialization:
             calls.append(v)
             return f"<{v}>"
 
-        fields = text_fields(values, fmt)
+        table, index = text_fields(values, fmt)
         assert calls == list(range(-1, 13))
-        assert fields.shape == values.shape
-        assert fields.tolist() == [[b"<3>", b"<-1>"], [b"<0>", b"<3>"], [b"<-1>", b"<12>"]]
+        assert table.tolist() == [f"<{v}>".encode() for v in range(-1, 13)]
+        assert index.shape == values.shape
+        assert table[index].tolist() == [[b"<3>", b"<-1>"], [b"<0>", b"<3>"], [b"<-1>", b"<12>"]]
 
     def test_samples_from_csv_skips_blank_lines(self):
         for text in ("1,0,2\n\n0,3,0\n", "\n  \n1,0,2\n\t \n0,3,0", "1,0,2\r\n \r\n0,3,0\n\n\n"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ionsampler.config import (
+    _KIND_NAMES,
     ConfigError,
     DDSpec,
     DetectionSpec,
@@ -232,6 +233,15 @@ def test_optional_field_absent_takes_the_dataclass_default(section, field):
     assert getattr(getattr(parse_config(data), section), field.name) == field.default
     del data[section]
     assert getattr(getattr(parse_config(data), section), field.name) == field.default
+
+
+@pytest.mark.parametrize(
+    "section, field", OPTIONAL_FIELDS, ids=[f"{s}.{f.name}" for s, f in OPTIONAL_FIELDS]
+)
+def test_optional_field_annotation_names_a_kind(section, field):
+    # the sections read each field by the kind its annotation names, so a
+    # field annotated otherwise (a union, a typing alias) must fail here
+    assert isinstance(field.default, _KIND_NAMES[field.type])
 
 
 def test_readme_example_config_parses():

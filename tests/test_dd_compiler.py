@@ -13,6 +13,7 @@ from ionsampler.dd_compiler import (
     EvolutionSegment,
     PhaseEvent,
     PulseSchedule,
+    SignPattern,
     _walsh_frames,
     compile_beam_splitter,
     compile_elements,
@@ -311,6 +312,40 @@ class TestSimulateSchedule:
         schedule = compile_unitary(k, haar_unitary(num_ions, seed=seed), n_sub=n_sub, scheme=scheme)
         reference = oracles.schedule_unitary_longdouble(k.rates, schedule)
         assert np.max(np.abs(simulate_schedule(k, schedule) - reference)) < 2e-13
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("num_ions", range(2, 13))
+    def test_stacked_blocks_equal_the_block_by_block_loop(self, num_ions, scheme):
+        # the blocks of one generator count and n_sub run as one stack, whose
+        # matrix products must round exactly as one block at a time does
+        k = chain_coupling(num_ions)
+        schedule = compile_unitary(k, haar_unitary(num_ions, seed=num_ions), n_sub=16, scheme=scheme)
+        np.testing.assert_array_equal(simulate_schedule(k, schedule),
+                                      oracles.schedule_unitary_by_blocks(k.rates, schedule))
+
+    def test_stacked_blocks_equal_the_loop_on_a_mixed_schedule(self):
+        # blocks of 0-3 generators and three n_sub values, interleaved with
+        # segments and phase events, so each stack's periods are taken in list order
+        k = chain_coupling(5)
+        rng = np.random.default_rng(11)
+
+        def block(count, n_sub):
+            generators = [SignPattern(tuple(rng.choice([-1, 1], 5).tolist())) for _ in range(count)]
+            return DecouplingBlock(rng.uniform(1e-7, 1e-6), generators, n_sub)
+
+        steps = [block(2, 3), EvolutionSegment(2e-6), PhaseEvent(0.0, 2, 0.7), block(0, 5),
+                 block(3, 1), block(2, 3), PhaseEvent(0.0, 5, -1.2), block(1, 16),
+                 EvolutionSegment(0.0), block(3, 1), block(2, 4), block(2, 3)]
+        schedule = PulseSchedule(5, steps)
+        np.testing.assert_array_equal(simulate_schedule(k, schedule),
+                                      oracles.schedule_unitary_by_blocks(k.rates, schedule))
+
+    def test_schedule_without_blocks_equals_the_loop(self):
+        k = chain_coupling(4)
+        schedule = PulseSchedule(4, (EvolutionSegment(1e-6), PhaseEvent(0.0, 3, 0.4),
+                                     EvolutionSegment(3e-7), PhaseEvent(1e-6, 1, -2.0)))
+        np.testing.assert_array_equal(simulate_schedule(k, schedule),
+                                      oracles.schedule_unitary_by_blocks(k.rates, schedule))
 
     @pytest.mark.parametrize("num_ions, omega_z_hz", [(24, 0.2e6), (32, 0.15e6)])
     def test_long_chains_stay_unitary(self, num_ions, omega_z_hz):

@@ -317,6 +317,26 @@ def test_csv_blocks_end_where_the_trial_number_gains_a_digit(two_digit, block, m
     assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, 10)
 
 
+@pytest.mark.parametrize("block", [detection.CSV_BLOCK_LINES, 7_001])
+def test_csv_trial_numbers_past_ten_and_a_hundred_thousand(block, monkeypatch):
+    # trial numbers of five and six digits take their last four digits from
+    # the table of 0000-9999 and the rest from a prefix; blocks end at every
+    # multiple of 10^4, and 7 001-line blocks also end between them
+    monkeypatch.setattr(detection, "CSV_BLOCK_LINES", block)
+    true_n = np.random.default_rng(31).integers(0, 4, size=(100_003, 1))
+    buf = io.StringIO()
+    readouts_to_csv(true_n, true_n, 3, buf)
+    assert buf.getvalue() == oracles.readouts_csv_text(true_n, true_n, 3)
+
+
+@pytest.mark.parametrize("true_n, reported, cap", list(_readout_cases())[1:])
+def test_csv_one_line_blocks_match_row_writer(true_n, reported, cap, monkeypatch):
+    monkeypatch.setattr(detection, "CSV_BLOCK_LINES", 1)
+    buf = io.StringIO()
+    readouts_to_csv(true_n, reported, cap, buf)
+    assert buf.getvalue() == oracles.readouts_csv_text(true_n, reported, cap)
+
+
 def test_csv_tables_grow_with_each_column_range():
     # true_n and reported_n each spread over 10^5 values: one table per
     # column stays under a few MB, where a table of every (mode, true_n,
