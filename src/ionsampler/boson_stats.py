@@ -7,13 +7,12 @@ and columns follow inputs, so for a single boson the formula reduces to
 |U_ji|^2 = |(U e_i)_j|^2, the evolve-and-measure amplitude.
 
 Two independent routes compute each distribution: the permanent route
-(Glynn's formula over column sign vectors, in one batched pass over all
-outcomes, since every A of one input has the same columns; outcomes next
-to each other in the canonical order share their first rows, and with
-them the products of those rows' signed sums) and a
-many-body route (`fock_oracle_distribution`) that builds the output state
-in the full bosonic Fock space, applying to the vacuum one creation
-operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
+(Glynn's formula over column sign vectors for all outcomes at once, since every
+A of one input has the same columns: the outcomes with k bosons in the first
+half of the modes take one matrix product of the halves' products of signed
+row sums) and a many-body route (`fock_oracle_distribution`) that builds the
+output state in the full bosonic Fock space, applying to the vacuum one
+creation operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
 nothing but the outcome enumeration and its rank, which makes their
 agreement a meaningful cross-check.  A distribution records only (M, N),
 which fix its outcomes: the rows of one cached table, in canonical order.
@@ -64,12 +63,11 @@ NORMALIZATION_TOL = 1e-9
 # take tens of bytes per raised row (M entries), so fewer modes cost more per
 # entry: M = 8, N = 12 (2.0e6 entries, 2.5e5 rows) peaked at 56 MB.
 FOCK_MAX_ENTRIES = 3_600_000
-# At M = 16, N = 8 (490 314 outcomes, Haar, each run alone in a fresh process
-# on 2 CPUs) the outcome table is 7.8 MB and exact_distribution takes 1.3-1.5 s
-# and peaks at 66 MB RSS, 30 MB above the interpreter and numpy.  The stages
-# that parse the JSON rows of distribution.json cost more: sample takes 2.6 s
-# and peaks at 311 MB, verify 2.5 s and 312 MB; distribution, which writes
-# them a block at a time, takes 1.6 s and 63 MB.
+# At M = 16, N = 8 (490 314 outcomes, Haar, a fresh process on 2 CPUs) the outcome
+# table is 7.8 MB and exact_distribution takes 0.2-0.3 s; its 66-70 MB RSS peak comes
+# from building the table and moves with heap layout.  The stages that parse the JSON
+# rows of distribution.json cost more: sample and verify take 2.8-3.9 s and 375 MB;
+# distribution, which writes them a block at a time, takes 1.3-1.9 s and 66 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written, so memory does not grow with
 # the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
@@ -77,11 +75,9 @@ CSV_BLOCK_LINES = 1 << 15
 # Adjacent fields with at most this many combinations of values share a table (write_lines).
 MERGED_TABLE_ENTRIES = 4096
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
-# Complex entries per array in the chunked Glynn product (256 kB, cache-sized),
-# and outcomes per chunk of row indices.  The only larger arrays hold signed
-# row sums: those of each half stay under 16 MB for a single permanent at
-# n = 30, and at n <= 14 the table of every row's sums over all sign vectors
-# holds 2^(n-1) entries per row, at most 1.8 MB (14 rows at n = 14).
+# Sign vectors per chunk of the Glynn kernel (a row's buffer is 256 kB) and outcomes
+# per chunk of its rank arithmetic; fewer vectors where a half table would pass
+# 8 x RYSER_CHUNK_ELEMENTS entries (2 MB): 8 for the 12 870 rows at M = 16, N = 8.
 RYSER_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -91,118 +87,132 @@ class NormalizationError(RuntimeError):
 
 @lru_cache(maxsize=8)
 def _sign_vectors(k: int, fix_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Every +-1 vector on k columns (k, 2^k) and the product of its signs;
-    with ``fix_first`` only those whose first sign is +1 (k, 2^(k-1))."""
+    """Every +-1 vector on k columns (k, 2^k), with ``fix_first`` only those whose first
+    sign is +1 (k, 2^(k-1)), and each one's sign product over their count (two halves: 2^(n-1))."""
     minus = (np.arange(0, 1 << k, 2 if fix_first else 1)[None, :] >> np.arange(k)[:, None]) & 1
-    signs = 1.0 - 2.0 * (minus.sum(axis=0) & 1)
+    signs = (1.0 - 2.0 * (minus.sum(axis=0) & 1)) / minus.shape[1]
     delta = (1.0 - 2.0 * minus).astype(np.complex128)
     delta.flags.writeable = signs.flags.writeable = False  # shared by the cache
     return delta, signs
 
 
-def _prefix_levels(rows: np.ndarray, step: int):
-    """The shared row prefixes of the permanents in each chunk of ``step`` rows.
+def _glynn_sums(cols: np.ndarray, table: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Permanents of the n x n matrices that repeat row r of ``cols`` s_r times, for each
+    row s of the (K, M) ``table``; with ``squared``, |Per|^2 / prod_r s_r! instead.
 
-    Level i holds the distinct prefixes of length i + 1 among a chunk's
-    rows: a row starts a new one where it differs from the row before it in
-    one of its first i + 1 entries, or where it starts the chunk, so one pass
-    over the row indices finds every level.  Equal prefixes that are not
-    adjacent are kept twice, which costs time but never correctness.
-
-    Returns four things.  ``parent`` and ``last`` hold, for every prefix, the
-    chunk-local index of its parent on the level before and its last row.
-    ``bounds[c * n + i]`` and ``bounds[c * n + i + 1]`` bound the prefixes of
-    level i of chunk c in them.  ``full`` is the chunk-local index of each
-    row's full prefix.
+    Glynn's formula, Per(A) = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j a_ij over d in
+    {+1, -1}^n with d_1 = +1 (Eur. J. Combin. 31, 1887 (2010)), gives an outcome the
+    terms (prod_j d_j) prod_r y_r(d)^s_r, y_r mode r's signed row sum.  Split at mode
+    M // 2, the sums over d of the outcomes with k bosons in the first half are one
+    matrix product X_k Y_(n-k)^T of the halves' tables (`_pairs`, `_half_products`).
     """
-    count, n = rows.shape
-    # A chunk of one row shares nothing: each level has one prefix, so nothing
-    # is gathered.  Its levels are built here without the fixed cost of the
-    # pass below, a tenth of an n = 15 permanent.
-    if step == 1:
-        return None, rows.ravel(), range(count * n + 1), np.zeros(count, dtype=np.intp)
-    starts = np.zeros((-(-count // step) * step, n + 1), dtype=bool)  # column 0: empty prefix
-    np.not_equal(rows[1:], rows[:-1], out=starts[1:count, 1:])
-    starts[::step, 0] = True
-    starts = np.logical_or.accumulate(starts, axis=1).reshape(-1, step, n + 1)
-    ids = np.cumsum(starts, axis=1, dtype=np.int32).reshape(-1, n + 1) - 1
-    # every prefix, grouped by chunk and then level, in row order in a group
-    chunk, level, pos = np.nonzero(starts[:, :, 1:].transpose(0, 2, 1))
-    first_row = chunk * step + pos
-    # bounds as plain integers: a view per level held 0.7 MB more at n = 8
-    bounds = np.searchsorted(chunk * n + level, np.arange(len(starts) * n + 1)).tolist()
-    return ids[first_row, level], rows[first_row, level], bounds, ids[:count, n]
-
-
-def _ryser_sums(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Permanents of the n x n matrices cols[rows[b]], by Glynn's formula.
-
-    Per(A) = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j a_ij over sign
-    vectors d in {+1, -1}^n with d_1 = +1 (Glynn, Eur. J. Combin. 31, 1887
-    (2010)), meet-in-the-middle: each d joins a vector on the low n // 2 + 1
-    columns (d_1 among them) with one on the rest, so its row sums add the two
-    halves' row sums.  Those are taken once for every row of ``cols`` by one
-    +-1 matrix product per half, and each permanent gathers its n rows from
-    them (a repeated row index is a repeated row).
-    Consecutive permanents that share their first rows share the product of
-    those rows' sums: level by level, each distinct prefix (`_prefix_levels`)
-    takes its parent's product times its last row's sums, and the finished
-    products are summed once and gathered back to the permanents.  In the
-    canonical outcome order neighbours share long prefixes; any order gives
-    the same values.  The products are chunked over permanents and high-half
-    vectors, at most RYSER_CHUNK_ELEMENTS complex entries per array; the
-    high-half steps are the outer loop, so each step's row sums are added
-    once for all chunks.
-    """
-    n = cols.shape[1]
+    m, n = cols.shape
     if n > RYSER_MAX_DIM:
         raise ValueError(f"permanent guard: n={n} exceeds limit {RYSER_MAX_DIM}")
     if n == 0:
-        return np.ones(len(rows), dtype=np.complex128)
+        return np.ones(len(table), dtype=float if squared else np.complex128)
+    halves, blocks, index = _pairs(table, m // 2, n)
+    flat = np.zeros(blocks[-1][0], dtype=np.complex128)
+    blocks = [(flat[end - (a1 - a0) * (b1 - b0):end].reshape(a1 - a0, b1 - b0), slice(a0, a1), slice(b0, b1))
+              for end, a0, a1, b0, b1 in blocks]
+    _half_products(cols, halves, blocks)
+    if squared:  # |Per|^2 into the real parts, then / prod s_r!, a half's factor at a time
+        np.square(flat.real, out=flat.real)
+        flat.real += np.square(flat.imag, out=flat.imag)
+        first, second = (np.array([factorial(e) for e in range(n + 1)], dtype=float)[half].prod(axis=0)
+                         for half in halves)
+        for block, rows1, rows2 in blocks:
+            block.real /= first[rows1, None] * second[rows2]
+        flat = flat.real
+    out = np.empty(len(index), dtype=flat.dtype)
+    for start in range(0, len(index), RYSER_CHUNK_ELEMENTS):  # converts a chunk of indices at a time
+        out[start:start + RYSER_CHUNK_ELEMENTS] = flat[index[start:start + RYSER_CHUNK_ELEMENTS]]
+    return out
+
+
+def _half_products(cols: np.ndarray, halves, blocks) -> None:
+    """Add X_k Y_(n-k)^T into each (block, first-half rows, second-half rows), X holding
+    the signs times the first half's products.  Each d joins a vector on the low n // 2 + 1
+    columns (d_1 among them) with one on the rest, whose row sums are one +-1 matrix product
+    each.  In a chunk of d each mode's sums are raised to the powers its half's rows need by
+    repeated multiplication and multiplied into the half's table (a one-row table takes views).
+    """
+    n = cols.shape[1]
     low = n // 2 + 1
-    delta_lo, sign_lo = _sign_vectors(low, fix_first=True)
-    delta_hi, sign_hi = _sign_vectors(n - low)
-    sums_lo = cols[:, :low] @ delta_lo
-    sums_hi = cols[:, low:] @ delta_hi
-    width = sums_lo.shape[1]
-    step_hi = min(sums_hi.shape[1], max(1, RYSER_CHUNK_ELEMENTS // width))
-    step = max(1, min(len(rows), RYSER_CHUNK_ELEMENTS // (step_hi * width)))
-    parent, last, bounds, full = _prefix_levels(rows, step)  # its peak before the buffers
-    # the products, a spare for gathering them and the level's row sums,
-    # reused throughout: a fresh array per level would cost more than its
-    # arithmetic.  They are allocated apart: as slices of one block they lie
-    # a multiple of 4 kB apart, which made n = 20 up to 10% slower.  Gathers
-    # pass mode="clip" because their indices are in range and the default
-    # mode would buffer the copy.
-    shape = (step, step_hi, width)
-    prods, spare, row_sums = (np.empty(shape, dtype=np.complex128) for _ in range(3))
-    # With several permanents per chunk (n <= 14), each high-half step adds
-    # the two halves once for every row of ``cols`` into one table, and each
-    # level gathers its prefixes' last rows from it.  With one per chunk
-    # (n >= 15, or a single permanent) each level adds its one row's halves
-    # in a cache-sized buffer instead: there the table is len(cols) times
-    # larger, out of cache, and made n = 20 take 88-105 ms instead of 52-69 ms.
-    table = np.empty((len(cols), *shape[1:]), dtype=np.complex128) if step > 1 else None
-    total = np.zeros(len(rows), dtype=np.complex128)
-    for start in range(0, sums_hi.shape[1], step_hi):
-        hi = sums_hi[:, start:start + step_hi, None]
-        if table is not None:
-            np.add(hi, sums_lo[:, None, :], out=table)
-        for c, first in enumerate(range(0, len(rows), step)):
-            terms = prods[:1]
-            terms.fill(1)
-            for k in range(c * n, c * n + n):
-                p0, p1 = bounds[k], bounds[k + 1]
-                if p1 - p0 > len(terms):  # else every prefix has one child
-                    terms = np.take(terms, parent[p0:p1], axis=0, out=spare[:p1 - p0], mode="clip")
-                    prods, spare = spare, prods
-                if table is None:
-                    terms *= np.add(hi[last[p0]], sums_lo[last[p0], None, :], out=row_sums[0])
+    (delta_lo, sign_lo), (delta_hi, sign_hi) = _sign_vectors(low, fix_first=True), _sign_vectors(n - low)
+    sums_lo, sums_hi = cols[:, :low] @ delta_lo, cols[:, low:] @ delta_hi
+    width, height = sums_lo.shape[1], sums_hi.shape[1]
+    rows = max(half.shape[1] for half in halves)
+    span = min(RYSER_CHUNK_ELEMENTS, width * height, 1 << (max(1, 8 * RYSER_CHUNK_ELEMENTS // rows).bit_length() - 1))
+    shape = (span // min(width, span), min(width, span))
+    products = [np.empty((half.shape[1], *shape), dtype=np.complex128) for half in halves]
+    spare = np.empty((rows, *shape), dtype=np.complex128)
+    # each mode's gather (an exponent where its half has one row) and top power
+    plans = [[(e, e) for e in half[:, 0].tolist()] if half.shape[1] == 1 else
+             list(zip(half, half.max(axis=1).tolist())) for half in halves]
+    powers = np.empty((max(e for plan in plans for _, e in plan) + 1, *shape), dtype=np.complex128)
+    powers[0] = 1
+    for start in range(0, width * height, span):
+        hi, lo = divmod(start, width)
+        row_sums = zip(sums_hi[:, hi:hi + shape[0], None], sums_lo[:, lo:lo + shape[1]])
+        sign = sign_hi[hi:hi + shape[0], None] * sign_lo[lo:lo + shape[1]]
+        for out, plan, product in zip(products, plans, (sign, None)):
+            for (exponents, top), (y_hi, y_lo) in zip(plan, row_sums):
+                y = np.add(y_hi, y_lo, out=powers[1])
+                for e in range(2, top + 1):
+                    np.multiply(powers[e - 1], y, out=powers[e])
+                if len(out) == 1:
+                    factor = powers[exponents]
                 else:
-                    terms *= np.take(table, last[p0:p1], axis=0, out=row_sums[:p1 - p0], mode="clip")
-            sums = (terms @ sign_lo) @ sign_hi[start:start + step_hi]
-            total[first:first + step] += sums[full[first:first + step]]
-    return total / (1 << (n - 1))
+                    factor = np.take(powers, exponents, axis=0, mode="clip",
+                                     out=out if product is None else spare[:len(out)])
+                if product is None and factor is not out:  # a view that the next mode overwrites
+                    out[...] = factor
+                product = out if product is None else np.multiply(product, factor, out=out)
+            if product is not out:  # the signs of an empty half
+                out[...] = product
+        x, y = (out.reshape(len(out), -1) for out in products)
+        for block, rows1, rows2 in blocks:
+            block += x[rows1] @ y[rows2].T
+
+
+def _pairs(table: np.ndarray, h: int, num_bosons: int):
+    """The halves of the outcomes in a (K, M) ``table`` of N bosons, split after mode h: each
+    half's rows, (w, R) exponents, one per occupation of at most N bosons in its modes in the
+    order of their rank (`_outcome_rank`: by total, then canonically), so no sort is needed;
+    the blocks (end, a0, a1, b0, b1) of the flat result, one per first-half total k, pairing
+    rows a0:a1 of the first half with rows b0:b1 of the second, row-major and ending at end;
+    and each outcome's place in it.  A row that no outcome has is read by none.
+    """
+    if len(table) == 1:  # a single outcome pairs its own halves
+        return (table[:, :h].T, table[:, h:].T), [(1, 0, 1, 0, 1)], np.zeros(1, dtype=np.intp)
+    count = len(table)
+    chunks = [slice(a, min(a + RYSER_CHUNK_ELEMENTS, count)) for a in range(0, count, RYSER_CHUNK_ELEMENTS)]
+    totals = np.zeros(count, dtype=table.dtype)  # bosons in the first half
+    for r in range(h):
+        totals += table[:, r]
+    # ranks, places and the flat result's size are below C(N + M, M)
+    dtype = np.int32 if comb(num_bosons + table.shape[1], num_bosons) < 1 << 31 else np.int64
+    halves, places, starts = [], [], []
+    for modes, part_totals in ((range(h), totals), (range(h, table.shape[1]), num_bosons - totals)):
+        place = np.empty(count, dtype=dtype)
+        sample = np.zeros(comb(num_bosons + len(modes), num_bosons), dtype=np.intp)  # an outcome of each rank
+        for rows in chunks:
+            place[rows] = _outcome_rank(table[rows][:, modes], num_bosons, part_totals[rows])
+            sample[place[rows]] = np.arange(rows.start, rows.stop)
+        halves.append(table[sample][:, modes].T)
+        places.append(place)  # the ranks of total t start at C(t + w - 1, w)
+        starts.append([comb(t + len(modes) - 1, len(modes)) for t in range(num_bosons + 2)])
+    first, second = np.array(starts[0]), np.array(starts[1][::-1])  # row bounds by first-half total
+    sizes = second[:-1] - second[1:]
+    ends = np.cumsum(np.diff(first) * sizes)
+    offsets = ends - first[1:] * sizes - second[1:]
+    index = places[0]  # in place
+    for rows in chunks:
+        k = totals[rows]
+        index[rows] = index[rows] * sizes.take(k) + offsets.take(k) + places[1][rows]
+    bounds = zip(ends.tolist(), first[:-1].tolist(), first[1:].tolist(), second[1:].tolist(), second[:-1].tolist())
+    return halves, list(bounds), index
 
 
 def permanent_ryser(matrix) -> complex:
@@ -213,7 +223,7 @@ def permanent_ryser(matrix) -> complex:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"permanent_ryser needs a square matrix, got shape {a.shape}")
-    return complex(_ryser_sums(a, np.arange(a.shape[0])[None])[0])
+    return complex(_glynn_sums(a, np.ones((1, a.shape[0]), dtype=np.uint8))[0])
 
 
 def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
@@ -226,24 +236,9 @@ def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
 
 
 def _probabilities(u: np.ndarray, table: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
-    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, a row of ``table``,
-    by batched Glynn.
-
-    Rows of A_S follow the outcome and columns follow the inputs (see the
-    module docstring), so every A_S takes its columns from the same
-    U[:, inputs] and only its row indices differ.  Those are built for one
-    chunk of outcomes per kernel call, so memory is set by the outcome table.
-    """
-    cols = np.repeat(u, t, axis=1)
-    m, n = u.shape[0], cols.shape[1]
-    factorials = np.array([factorial(k) for k in range(n + 1)], dtype=float)
-    probs = np.empty(len(table))
-    for first in range(0, len(table), RYSER_CHUNK_ELEMENTS):
-        occ = table[first:first + RYSER_CHUNK_ELEMENTS]
-        rows = np.repeat(np.tile(np.arange(m), len(occ)), occ.ravel()).reshape(len(occ), n)
-        norms = factorials[occ].prod(axis=1) * factorials[list(t)].prod()
-        probs[first:first + len(occ)] = np.abs(_ryser_sums(cols, rows)) ** 2 / norms
-    return probs
+    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, a row of ``table``: every
+    A_S takes its columns from U[:, inputs] (see the module docstring)."""
+    return _glynn_sums(np.repeat(u, t, axis=1), table, squared=True) / math.prod(map(factorial, t))
 
 
 def outcome_probability(matrix, outcome, inputs) -> float:
@@ -258,8 +253,7 @@ def outcome_probability(matrix, outcome, inputs) -> float:
     t = _occupation(inputs, u.shape[1])
     if sum(s) != sum(t):
         raise ValueError(f"boson totals differ: outcome {sum(s)}, inputs {sum(t)}")
-    # only the occupied output modes: the kernel adds row sums for every row
-    # it is given, 51 MB of them at M = 400, n = 13
+    # only the occupied output modes: the kernel passes over every mode it is given
     occupied = np.flatnonzero(s)
     return float(_probabilities(u[occupied], np.array([s])[:, occupied], t)[0])
 
@@ -309,18 +303,19 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
     return list(map(tuple, _outcome_table(num_modes, num_bosons).tolist()))
 
 
-def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
+def _outcome_rank(outcomes: np.ndarray, num_bosons: int, totals: np.ndarray | None = None) -> np.ndarray:
     """Position of each row of a (K, M) array of outcomes of N bosons in the
     :func:`enumerate_outcomes` order, one pass per mode (a contiguous column): with
-    r bosons left for k modes, C(r - s + k - 2, k - 1) outcomes put more than s first."""
+    r bosons left for k modes, C(r - s + k - 2, k - 1) outcomes put more than s first.
+    Given the rows' ``totals`` t <= N, the position among all occupations of at most N
+    bosons by total, then canonically, as (N - t, *row) ranks in M + 1 modes."""
     m = outcomes.shape[1]
-    table = np.array(  # [m - k, r - s]: at most C(N + M - 2, N - 1), below the outcome count
-        [[comb(d + k - 2, k - 1) for d in range(num_bosons + 1)] for k in range(m, 1, -1)],
-        dtype=np.int64,
-    ).reshape(m - 1, num_bosons + 1)
-    rank, left = np.zeros(len(outcomes), dtype=np.int64), np.full(len(outcomes), num_bosons)
-    for row, column in zip(table, np.ascontiguousarray(outcomes.T)):
-        rank += row[left - column]
+    table = np.array([[comb(d + k - 2, k - 1) if d + k > 1 else 0 for d in range(num_bosons + 1)]
+                      for k in range(m + 1, 0, -1)], dtype=np.int64).reshape(m + 1, num_bosons + 1)
+    rank = np.zeros(len(outcomes), dtype=np.int64) if totals is None else table[0].take(totals)
+    left = np.full(len(outcomes), num_bosons, outcomes.dtype) if totals is None else totals.astype(outcomes.dtype)
+    for row, column in zip(table[1:m], np.ascontiguousarray(outcomes.T)):
+        rank += row.take(left - column)
         left -= column
     return rank
 

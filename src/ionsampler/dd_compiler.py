@@ -64,6 +64,7 @@ __all__ = [
 
 DEFAULT_N_SUB = 16
 DEFAULT_SCHEME = "hadamard"
+STACK_BLOCKS = 32  # decoupling blocks per stack in simulate_schedule: 0.5 MB at 32 ions
 MAX_DURATION_FACTOR = 1e6
 
 
@@ -360,8 +361,8 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
     A slice in sign frame S evolves as S exp(-i K tau) S.  Per generator H_j of a
     block, the forward product F becomes (H_j F H_j) F and the mirrored R becomes
     R (H_j R H_j); numpy matrix products raise the period R F to ``n_sub``
-    (:func:`_unitary_power`), all blocks of one generator count and ``n_sub`` as one
-    (B, M, M) stack.  A phase event is a diagonal matrix.  Steps compose in list order.
+    (:func:`_unitary_power`), the blocks of one generator count and ``n_sub`` in (B, M, M)
+    stacks of at most STACK_BLOCKS.  A phase event is a diagonal matrix.  Steps compose in list order.
     """
     k = assert_hermitian(coupling)
     if k.shape[0] != schedule.dim:
@@ -374,13 +375,16 @@ def simulate_schedule(coupling, schedule: PulseSchedule) -> np.ndarray:
         if isinstance(step, DecouplingBlock):
             periods.setdefault((len(step.generators), step.n_sub), []).append(step)
     for (count, n_sub), blocks in periods.items():
-        taus = np.array([b.tau for b in blocks])[:, None]
-        signs = np.array([[g.signs for g in b.generators] for b in blocks]).reshape(len(blocks), count, schedule.dim)
-        forward = mirror = (v * np.exp(-1j * w * taus)[:, None, :]) @ v.conj().T
-        for s in signs.swapaxes(0, 1):  # (B, M) signs of generator j
-            flip = s[:, :, None] * s[:, None, :]
-            forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
-        periods[count, n_sub] = iter(_unitary_power(mirror @ forward, n_sub))
+        stacks = [blocks[first:first + STACK_BLOCKS] for first in range(0, len(blocks), STACK_BLOCKS)]
+        for i, stack in enumerate(stacks):
+            taus = np.array([b.tau for b in stack])[:, None]
+            signs = np.array([[g.signs for g in b.generators] for b in stack]).reshape(len(stack), count, schedule.dim)
+            forward = mirror = (v * np.exp(-1j * w * taus)[:, None, :]) @ v.conj().T
+            for s in signs.swapaxes(0, 1):  # (B, M) signs of generator j
+                flip = s[:, :, None] * s[:, None, :]
+                forward, mirror = (forward * flip) @ forward, mirror @ (mirror * flip)
+            stacks[i] = _unitary_power(mirror @ forward, n_sub)
+        periods[count, n_sub] = (period for stack in stacks for period in stack)
     total = np.eye(schedule.dim, dtype=complex)
     for step in schedule.steps:
         if isinstance(step, DecouplingBlock):

@@ -131,9 +131,65 @@ class TestPermanents:
         reference = {
             tuple(r): oracles.permanent_reference(cols[list(r)]) for r in lexicographic
         }
-        got = boson_stats._ryser_sums(cols, rows)
+        got = boson_stats._glynn_sums(cols, (rows[:, :, None] == np.arange(7)).sum(axis=1))
         expected = np.array([reference[tuple(r)] for r in rows.tolist()])
         assert got == pytest.approx(expected, rel=1e-10)
+
+    # (modes, input occupations): odd and even M, M = 1 (the first half has
+    # no modes), N = 0 and N = 1, bunched inputs (repeated columns)
+    KERNEL_CASES = [(5, (1, 1, 1, 0, 0)), (4, (2, 0, 1, 1)), (7, (0, 3, 0, 0, 1, 0, 1)),
+                    (6, (2, 2, 0, 0, 0, 0)), (1, (4,)), (1, (1,)), (3, (0, 0, 0)), (2, (0, 1)),
+                    (3, (1, 0, 0))]
+
+    @pytest.mark.parametrize("m, t", KERNEL_CASES)
+    def test_kernel_matches_reference_on_every_outcome(self, m, t):
+        # every outcome, bunched ones (repeated rows) among them, against the
+        # O(n!) permanent of the matrix with rows and columns repeated
+        rng = np.random.default_rng(m * 10 + sum(t))
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        table = np.array(enumerate_outcomes(m, sum(t)), dtype=np.uint8).reshape(-1, m)
+        got = boson_stats._glynn_sums(np.repeat(a, t, axis=1), table)
+        expected = [oracles.permanent_reference(np.repeat(np.repeat(a, s, axis=0), t, axis=1))
+                    if sum(t) else 1.0 for s in table.tolist()]
+        assert got == pytest.approx(np.array(expected), rel=1e-10, abs=1e-12)
+        squared = boson_stats._glynn_sums(np.repeat(a, t, axis=1), table, squared=True)
+        norms = [np.prod([factorial(x) for x in s]) for s in table.tolist()]
+        assert squared == pytest.approx(np.abs(expected) ** 2 / norms, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("m, t", KERNEL_CASES)
+    def test_kernel_takes_each_outcome_alone(self, m, t):
+        # one outcome per call, as outcome_probability passes it: each half is
+        # then one row, taken by view
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        cols = np.repeat(a, t, axis=1)
+        table = np.array(enumerate_outcomes(m, sum(t)), dtype=np.uint8).reshape(-1, m)
+        together = boson_stats._glynn_sums(cols, table)
+        alone = [boson_stats._glynn_sums(cols, table[k:k + 1])[0] for k in range(len(table))]
+        assert np.array(alone) == pytest.approx(together, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_kernel_past_one_sign_chunk_on_rank_one_matrices(self, n):
+        # 2^(n-1) sign vectors take several chunks, for all 153 or 171
+        # outcomes at once; a rank-one u v^T repeated by s has permanent
+        # n! prod_r u_r^s_r prod_j v_j
+        assert 2 ** (n - 1) > RYSER_CHUNK_ELEMENTS
+        rng = np.random.default_rng(n)
+        u, v = rng.uniform(0.5, 1.5, 3) * np.exp(1j * rng.uniform(0, 6, 3)), rng.uniform(0.5, 1.5, n)
+        table = np.array(enumerate_outcomes(3, n), dtype=np.uint8)
+        got = boson_stats._glynn_sums(np.outer(u, v), table)
+        expected = factorial(n) * np.prod(u ** table, axis=1) * np.prod(v)
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_kernel_chunks_narrower_than_the_low_half(self, monkeypatch):
+        # tall half tables (84 rows) shrink a chunk of sign vectors below the
+        # low half's 2^(n // 2), so each chunk takes part of a row of them; the
+        # 462 outcomes are ranked 8 at a time
+        monkeypatch.setattr(boson_stats, "RYSER_CHUNK_ELEMENTS", 8)
+        u = haar_unitary(6, seed=9)
+        inputs = (1, 2, 0, 1, 1, 1)
+        exact = exact_distribution(u, inputs)
+        assert total_variation_distance(exact, fock_oracle_distribution(u, inputs)) < 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -307,6 +363,15 @@ class TestDistributions:
             exact = exact_distribution(u, inputs)
             oracle = fock_oracle_distribution(u, inputs)
             assert total_variation_distance(exact, oracle) < 1e-8
+
+    @pytest.mark.parametrize("inputs", [(1,) * 8, (1,) * 5 + (0,) * 4, (2, 1, 0, 0, 3)],
+                             ids=["M8-N8", "M9-N5", "bunched"])
+    def test_haar_matches_fock_oracle_to_rounding(self, inputs):
+        # the two routes share nothing but the outcome order: 6435, 1287 and
+        # 210 outcomes agree to rounding
+        u = haar_unitary(len(inputs), seed=len(inputs) + 30)
+        exact = exact_distribution(u, inputs)
+        assert total_variation_distance(exact, fock_oracle_distribution(u, inputs)) < 1e-12
 
     def test_generator_route_matches_evolved_unitary(self):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionsampler import dd_compiler
 from ionsampler.dd_compiler import (
     _GENERATOR_BUILDERS,
     SCHEMES,
@@ -337,6 +338,23 @@ class TestSimulateSchedule:
                  block(3, 1), block(2, 3), PhaseEvent(0.0, 5, -1.2), block(1, 16),
                  EvolutionSegment(0.0), block(3, 1), block(2, 4), block(2, 3)]
         schedule = PulseSchedule(5, steps)
+        np.testing.assert_array_equal(simulate_schedule(k, schedule),
+                                      oracles.schedule_unitary_by_blocks(k.rates, schedule))
+
+    @pytest.mark.parametrize("stack", [1, 2, 5])
+    def test_blocks_past_one_stack_equal_the_loop(self, monkeypatch, stack):
+        # more blocks of one generator count and n_sub than a stack holds, in
+        # groups that interleave, so stacks are made part way through the steps
+        monkeypatch.setattr(dd_compiler, "STACK_BLOCKS", stack)
+        k = chain_coupling(6)
+        rng = np.random.default_rng(stack)
+        steps = []
+        for i in range(23):
+            generators = [SignPattern(tuple(rng.choice([-1, 1], 6).tolist())) for _ in range(1 + i % 3)]
+            steps.append(DecouplingBlock(rng.uniform(1e-7, 1e-6), generators, (4, 16)[i % 2]))
+            if i % 7 == 3:
+                steps.append(PhaseEvent(0.0, 1 + i % 6, 0.3 * i))
+        schedule = PulseSchedule(6, steps)
         np.testing.assert_array_equal(simulate_schedule(k, schedule),
                                       oracles.schedule_unitary_by_blocks(k.rates, schedule))
 
