@@ -67,7 +67,7 @@ FOCK_MAX_ENTRIES = 3_600_000
 # table is 7.8 MB and exact_distribution takes 0.2-0.3 s; its 66-70 MB RSS peak comes
 # from building the table and moves with heap layout.  The stages that parse the JSON
 # rows of distribution.json cost more: sample and verify take 2.8-3.9 s and 375 MB;
-# distribution, which writes them a block at a time, takes 1.3-1.9 s and 66 MB.
+# distribution, which writes them a block at a time, takes 1.3-1.9 s and 66-67 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written, so memory does not grow with
 # the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
