@@ -13,8 +13,9 @@ half of the modes take one matrix product of the halves' products of signed
 row sums) and a many-body route (`fock_oracle_distribution`) that builds the
 output state in the full bosonic Fock space, applying to the vacuum one
 creation operator b_j^dag = sum_i U_ij a_i^dag per input boson.  They share
-nothing but the outcome enumeration and its rank, which makes their
-agreement a meaningful cross-check.  A distribution records only (M, N),
+nothing but the canonical outcome order, which the permanent route reads from
+outcome tables and the many-body route from its rank, so their agreement is a
+meaningful cross-check.  A distribution records only (M, N),
 which fix its outcomes: the rows of one cached table, in canonical order.
 """
 
@@ -64,10 +65,11 @@ NORMALIZATION_TOL = 1e-9
 # entry: M = 8, N = 12 (2.0e6 entries, 2.5e5 rows) peaked at 56 MB.
 FOCK_MAX_ENTRIES = 3_600_000
 # At M = 16, N = 8 (490 314 outcomes, Haar, a fresh process on 2 CPUs) the outcome
-# table is 7.8 MB and exact_distribution takes 0.2-0.3 s; its 66-70 MB RSS peak comes
-# from building the table and moves with heap layout.  The stages that parse the JSON
-# rows of distribution.json cost more: sample and verify take 2.8-3.9 s and 375 MB;
-# distribution, which writes them a block at a time, takes 1.3-1.9 s and 66-67 MB.
+# table is 7.8 MB.  exact_distribution, which builds only the tables of a half's modes,
+# takes 0.11-0.13 s and peaks at 54 MB RSS (17 MB traced); building the full table, as
+# its readers do, peaks at 29 MB traced.  The stages that parse the JSON rows of
+# distribution.json cost more: sample and verify take 2.8-3.9 s and 375 MB;
+# distribution, which writes them a block at a time, takes 0.9-1.4 s and 66 MB.
 OUTCOME_MAX_COUNT = 500_000
 # Lines per block when a CSV artifact is written, so memory does not grow with
 # the sample count: 2^15 lines are 0.6 MB of fields at 8 modes.
@@ -76,7 +78,7 @@ CSV_BLOCK_LINES = 1 << 15
 MERGED_TABLE_ENTRIES = 4096
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)  # whitespace-only lines
 # Sign vectors per chunk of the Glynn kernel (a row's buffer is 256 kB) and outcomes
-# per chunk of its rank arithmetic; fewer vectors where a half table would pass
+# per chunk of its final gather; fewer vectors where a half table would pass
 # 8 x RYSER_CHUNK_ELEMENTS entries (2 MB): 8 for the 12 870 rows at M = 16, N = 8.
 RYSER_CHUNK_ELEMENTS = 1 << 14
 
@@ -96,9 +98,10 @@ def _sign_vectors(k: int, fix_first: bool = False) -> tuple[np.ndarray, np.ndarr
     return delta, signs
 
 
-def _glynn_sums(cols: np.ndarray, table: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Permanents of the n x n matrices that repeat row r of ``cols`` s_r times, for each
-    row s of the (K, M) ``table``; with ``squared``, |Per|^2 / prod_r s_r! instead.
+def _glynn_sums(cols: np.ndarray, outcome=None, squared: bool = False) -> np.ndarray:
+    """Permanents of the n x n matrices that repeat row r of ``cols`` s_r times, for every
+    outcome s of n = ``cols.shape[1]`` bosons in M = ``cols.shape[0]`` modes in canonical
+    order, or for the one ``outcome`` given; with ``squared``, |Per|^2 / prod_r s_r! instead.
 
     Glynn's formula, Per(A) = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j a_ij over d in
     {+1, -1}^n with d_1 = +1 (Eur. J. Combin. 31, 1887 (2010)), gives an outcome the
@@ -110,8 +113,8 @@ def _glynn_sums(cols: np.ndarray, table: np.ndarray, squared: bool = False) -> n
     if n > RYSER_MAX_DIM:
         raise ValueError(f"permanent guard: n={n} exceeds limit {RYSER_MAX_DIM}")
     if n == 0:
-        return np.ones(len(table), dtype=float if squared else np.complex128)
-    halves, blocks, index = _pairs(table, m // 2, n)
+        return np.ones(1, dtype=float if squared else np.complex128)
+    halves, blocks, index = _pairs(m, n, outcome)
     flat = np.zeros(blocks[-1][0], dtype=np.complex128)
     blocks = [(flat[end - (a1 - a0) * (b1 - b0):end].reshape(a1 - a0, b1 - b0), slice(a0, a1), slice(b0, b1))
               for end, a0, a1, b0, b1 in blocks]
@@ -176,42 +179,36 @@ def _half_products(cols: np.ndarray, halves, blocks) -> None:
             block += x[rows1] @ y[rows2].T
 
 
-def _pairs(table: np.ndarray, h: int, num_bosons: int):
-    """The halves of the outcomes in a (K, M) ``table`` of N bosons, split after mode h: each
-    half's rows, (w, R) exponents, one per occupation of at most N bosons in its modes in the
-    order of their rank (`_outcome_rank`: by total, then canonically), so no sort is needed;
-    the blocks (end, a0, a1, b0, b1) of the flat result, one per first-half total k, pairing
-    rows a0:a1 of the first half with rows b0:b1 of the second, row-major and ending at end;
-    and each outcome's place in it.  A row that no outcome has is read by none.
+def _pairs(num_modes: int, num_bosons: int, outcome=None):
+    """The halves of the outcomes of N bosons in M modes, split after mode h = M // 2: each
+    half's rows, (w, R) exponents, one per occupation of at most N bosons in its w modes (the
+    table of w + 1 modes, the last holding the rest) by total, then canonically; the blocks
+    (end, a0, a1, b0, b1) of the flat result, one per first-half total k, pairing rows a0:a1
+    of the first half with rows b0:b1 of the second, row-major and ending at end; and each
+    outcome's place in it.  In canonical order the outcomes that share a first half are
+    consecutive and their second halves run through its block row in order, so each first
+    half moves its run of outcomes by one offset.
     """
-    if len(table) == 1:  # a single outcome pairs its own halves
-        return (table[:, :h].T, table[:, h:].T), [(1, 0, 1, 0, 1)], np.zeros(1, dtype=np.intp)
-    count = len(table)
-    chunks = [slice(a, min(a + RYSER_CHUNK_ELEMENTS, count)) for a in range(0, count, RYSER_CHUNK_ELEMENTS)]
-    totals = np.zeros(count, dtype=table.dtype)  # bosons in the first half
-    for r in range(h):
-        totals += table[:, r]
-    # ranks, places and the flat result's size are below C(N + M, M)
-    dtype = np.int32 if comb(num_bosons + table.shape[1], num_bosons) < 1 << 31 else np.int64
-    halves, places, starts = [], [], []
-    for modes, part_totals in ((range(h), totals), (range(h, table.shape[1]), num_bosons - totals)):
-        place = np.empty(count, dtype=dtype)
-        sample = np.zeros(comb(num_bosons + len(modes), num_bosons), dtype=np.intp)  # an outcome of each rank
-        for rows in chunks:
-            place[rows] = _outcome_rank(table[rows][:, modes], num_bosons, part_totals[rows])
-            sample[place[rows]] = np.arange(rows.start, rows.stop)
-        halves.append(table[sample][:, modes].T)
-        places.append(place)  # the ranks of total t start at C(t + w - 1, w)
-        starts.append([comb(t + len(modes) - 1, len(modes)) for t in range(num_bosons + 2)])
-    first, second = np.array(starts[0]), np.array(starts[1][::-1])  # row bounds by first-half total
-    sizes = second[:-1] - second[1:]
-    ends = np.cumsum(np.diff(first) * sizes)
-    offsets = ends - first[1:] * sizes - second[1:]
-    index = places[0]  # in place
-    for rows in chunks:
-        k = totals[rows]
-        index[rows] = index[rows] * sizes.take(k) + offsets.take(k) + places[1][rows]
-    bounds = zip(ends.tolist(), first[:-1].tolist(), first[1:].tolist(), second[1:].tolist(), second[:-1].tolist())
+    h = num_modes // 2
+    if outcome is not None:  # a single outcome pairs its own halves
+        rows = np.asarray(outcome)[:, None]
+        return (rows[:h], rows[h:]), [(1, 0, 1, 0, 1)], np.zeros(1, dtype=np.intp)
+    tables = [_outcome_table(w + 1, num_bosons) for w in (h, num_modes - h)]
+    totals = [num_bosons - table[:, -1] for table in tables]  # bosons in each row's half
+    orders = [np.argsort(total, kind="stable") for total in totals]
+    halves = [table[order, :-1].T for table, order in zip(tables, orders)]
+    first, second = (np.bincount(total, minlength=num_bosons + 1) for total in totals)
+    sizes = second[::-1]  # the second halves of a first half of total k
+    ends = np.cumsum(first * sizes)
+    rows1, rows2 = (np.concatenate([[0], np.cumsum(count)]).tolist() for count in (first, second))
+    bounds = zip(ends.tolist(), rows1[:-1], rows1[1:], rows2[-2::-1], rows2[:0:-1])
+    width = sizes[totals[0]]  # each first half's outcomes, in canonical order
+    run = np.empty_like(width)  # where its run starts in the flat result, less where in the outcomes
+    run[orders[0]] = np.cumsum(width[orders[0]]) - width[orders[0]]
+    run -= np.cumsum(width) - width
+    dtype = np.int32 if ends[-1] < 1 << 31 else np.intp
+    index = np.repeat(run.astype(dtype), width)
+    index += np.arange(len(index), dtype=dtype)
     return halves, list(bounds), index
 
 
@@ -223,22 +220,23 @@ def permanent_ryser(matrix) -> complex:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"permanent_ryser needs a square matrix, got shape {a.shape}")
-    return complex(_glynn_sums(a, np.ones((1, a.shape[0]), dtype=np.uint8))[0])
+    return complex(_glynn_sums(a, np.ones(a.shape[0], dtype=np.uint8))[0])
 
 
 def _occupation(vec, dim: int | None = None) -> tuple[int, ...]:
-    occ = tuple(int(x) for x in vec)
-    if any(x < 0 for x in occ):
-        raise ValueError(f"occupations must be nonnegative, got {occ}")
+    vec = tuple(vec)
+    if not all(x >= 0 and x % 1 == 0 for x in vec):  # so that a fraction, a NaN or inf fails too
+        raise ValueError(f"occupations must be nonnegative integers, got {vec}")
+    occ = tuple(map(int, vec))
     if dim is not None and len(occ) != dim:
         raise ValueError(f"occupation length {len(occ)} does not match dim {dim}")
     return occ
 
 
-def _probabilities(u: np.ndarray, table: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
-    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S, a row of ``table``: every
-    A_S takes its columns from U[:, inputs] (see the module docstring)."""
-    return _glynn_sums(np.repeat(u, t, axis=1), table, squared=True) / math.prod(map(factorial, t))
+def _probabilities(u: np.ndarray, t: tuple[int, ...], outcome=None) -> np.ndarray:
+    """|Per(A_S)|^2 / (prod s! prod t!) for every outcome S in canonical order, or for the
+    one ``outcome``: every A_S takes its columns from U[:, inputs] (see the module docstring)."""
+    return _glynn_sums(np.repeat(u, t, axis=1), outcome, squared=True) / math.prod(map(factorial, t))
 
 
 def outcome_probability(matrix, outcome, inputs) -> float:
@@ -255,7 +253,7 @@ def outcome_probability(matrix, outcome, inputs) -> float:
         raise ValueError(f"boson totals differ: outcome {sum(s)}, inputs {sum(t)}")
     # only the occupied output modes: the kernel passes over every mode it is given
     occupied = np.flatnonzero(s)
-    return float(_probabilities(u[occupied], np.array([s])[:, occupied], t)[0])
+    return float(_probabilities(u[occupied], t, np.array(s)[occupied])[0])
 
 
 def _outcome_count(num_modes: int, num_bosons: int) -> int:
@@ -303,18 +301,16 @@ def enumerate_outcomes(num_modes: int, num_bosons: int) -> list[tuple[int, ...]]
     return list(map(tuple, _outcome_table(num_modes, num_bosons).tolist()))
 
 
-def _outcome_rank(outcomes: np.ndarray, num_bosons: int, totals: np.ndarray | None = None) -> np.ndarray:
+def _outcome_rank(outcomes: np.ndarray, num_bosons: int) -> np.ndarray:
     """Position of each row of a (K, M) array of outcomes of N bosons in the
     :func:`enumerate_outcomes` order, one pass per mode (a contiguous column): with
-    r bosons left for k modes, C(r - s + k - 2, k - 1) outcomes put more than s first.
-    Given the rows' ``totals`` t <= N, the position among all occupations of at most N
-    bosons by total, then canonically, as (N - t, *row) ranks in M + 1 modes."""
+    r bosons left for k modes, C(r - s + k - 2, k - 1) outcomes put more than s first."""
     m = outcomes.shape[1]
-    table = np.array([[comb(d + k - 2, k - 1) if d + k > 1 else 0 for d in range(num_bosons + 1)]
-                      for k in range(m + 1, 0, -1)], dtype=np.int64).reshape(m + 1, num_bosons + 1)
-    rank = np.zeros(len(outcomes), dtype=np.int64) if totals is None else table[0].take(totals)
-    left = np.full(len(outcomes), num_bosons, outcomes.dtype) if totals is None else totals.astype(outcomes.dtype)
-    for row, column in zip(table[1:m], np.ascontiguousarray(outcomes.T)):
+    table = np.array([[comb(d + k - 2, k - 1) for d in range(num_bosons + 1)]
+                      for k in range(m, 1, -1)], dtype=np.int64).reshape(m - 1, num_bosons + 1)
+    rank = np.zeros(len(outcomes), dtype=np.int64)
+    left = np.full(len(outcomes), num_bosons, outcomes.dtype)
+    for row, column in zip(table, np.ascontiguousarray(outcomes.T)):
         rank += row.take(left - column)
         left -= column
     return rank
@@ -374,10 +370,12 @@ def exact_distribution(
 
     ``matrix`` must be unitary within ``unit_tol`` (max |U^dag U - I|).
     """
+    t = _occupation(inputs)
+    _outcome_count(len(t), sum(t))  # the outcome guard, before U^dag U and the kernel's half tables
     u = assert_unitary(matrix, unit_tol)
-    t = _occupation(inputs, u.shape[0])
-    probs = _probabilities(u, _outcome_table(len(t), sum(t)), t)
-    return _distribution_from_probs(len(t), sum(t), "exact", probs, norm_tol)
+    if len(u) != len(t):
+        raise ValueError(f"occupation length {len(t)} does not match dim {len(u)}")
+    return _distribution_from_probs(len(t), sum(t), "exact", _probabilities(u, t), norm_tol)
 
 
 def fock_oracle_refusal(num_modes: int, num_bosons: int) -> str | None:

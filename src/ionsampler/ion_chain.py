@@ -59,8 +59,8 @@ class TrapParams:
     num_ions: int
 
     def __post_init__(self):
-        if self.omega_x <= 0 or self.omega_z <= 0:
-            raise ValueError("trap frequencies must be positive")
+        if not (0 < self.omega_x < np.inf and 0 < self.omega_z < np.inf):  # so that NaN fails too
+            raise ValueError("trap frequencies must be positive and finite")
         if self.omega_x <= self.omega_z:
             raise ValueError(
                 "transverse frequency omega_x must exceed axial omega_z"
@@ -186,7 +186,7 @@ def coupling_matrix(chain: IonChain) -> CouplingMatrix:
         rates = chain.params.hopping_scale / diff**3
         np.fill_diagonal(rates, 0.0)
     ratio = float(rates.max() / chain.params.omega_x) if m > 1 else 0.0
-    if ratio > VALIDITY_THRESHOLD:
+    if not ratio <= VALIDITY_THRESHOLD:  # so that a NaN ratio fails too
         raise ValidityError(
             f"max hopping rate is {ratio:.3e} of omega_x, above the "
             f"validity threshold {VALIDITY_THRESHOLD:.1e}; increase the "

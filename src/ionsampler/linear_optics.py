@@ -243,7 +243,7 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     the output is a deterministic function of the seed.  ``seed`` may be an
     integer or a ``numpy.random.Generator``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import itertools
 import json
 import re
 import tracemalloc
@@ -110,36 +109,12 @@ class TestPermanents:
         got = permanent_ryser(scipy.linalg.block_diag(*blocks))
         assert got == pytest.approx(expected, rel=1e-10)
 
-    # Every row-index tuple of 4 rows out of 7, in lexicographic order: the
-    # kernel's chunk of 2048 permanents at n = 4 ends between (5,6,5,3) and
-    # (5,6,5,4), so a shared prefix straddles the seam.  Shuffled, reversed
-    # and repeated rows show that sharing never relies on that order.
-    ROW_ORDERS = {
-        "lexicographic": lambda rows, rng: rows,
-        "shuffled": lambda rows, rng: rows[rng.permutation(len(rows))],
-        "reversed": lambda rows, rng: rows[::-1],
-        "repeated": lambda rows, rng: np.repeat(rows[rng.choice(len(rows), 300)], 4, axis=0),
-    }
-
-    @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
-    def test_batched_rows_match_reference(self, order):
-        rng = np.random.default_rng(11)
-        cols = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
-        lexicographic = np.array(list(itertools.product(range(7), repeat=4)))
-        assert tuple(lexicographic[RYSER_CHUNK_ELEMENTS // 8 - 1]) == (5, 6, 5, 3)
-        rows = self.ROW_ORDERS[order](lexicographic, rng)
-        reference = {
-            tuple(r): oracles.permanent_reference(cols[list(r)]) for r in lexicographic
-        }
-        got = boson_stats._glynn_sums(cols, (rows[:, :, None] == np.arange(7)).sum(axis=1))
-        expected = np.array([reference[tuple(r)] for r in rows.tolist()])
-        assert got == pytest.approx(expected, rel=1e-10)
-
     # (modes, input occupations): odd and even M, M = 1 (the first half has
-    # no modes), N = 0 and N = 1, bunched inputs (repeated columns)
+    # no modes), N = 0 and N = 1, bunched inputs (repeated columns), and all
+    # 210 outcomes of 4 single bosons in 7 modes
     KERNEL_CASES = [(5, (1, 1, 1, 0, 0)), (4, (2, 0, 1, 1)), (7, (0, 3, 0, 0, 1, 0, 1)),
                     (6, (2, 2, 0, 0, 0, 0)), (1, (4,)), (1, (1,)), (3, (0, 0, 0)), (2, (0, 1)),
-                    (3, (1, 0, 0))]
+                    (3, (1, 0, 0)), (7, (1, 1, 1, 1, 0, 0, 0))]
 
     @pytest.mark.parametrize("m, t", KERNEL_CASES)
     def test_kernel_matches_reference_on_every_outcome(self, m, t):
@@ -148,11 +123,11 @@ class TestPermanents:
         rng = np.random.default_rng(m * 10 + sum(t))
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         table = np.array(enumerate_outcomes(m, sum(t)), dtype=np.uint8).reshape(-1, m)
-        got = boson_stats._glynn_sums(np.repeat(a, t, axis=1), table)
+        got = boson_stats._glynn_sums(np.repeat(a, t, axis=1))
         expected = [oracles.permanent_reference(np.repeat(np.repeat(a, s, axis=0), t, axis=1))
                     if sum(t) else 1.0 for s in table.tolist()]
         assert got == pytest.approx(np.array(expected), rel=1e-10, abs=1e-12)
-        squared = boson_stats._glynn_sums(np.repeat(a, t, axis=1), table, squared=True)
+        squared = boson_stats._glynn_sums(np.repeat(a, t, axis=1), squared=True)
         norms = [np.prod([factorial(x) for x in s]) for s in table.tolist()]
         assert squared == pytest.approx(np.abs(expected) ** 2 / norms, rel=1e-10, abs=1e-12)
 
@@ -164,8 +139,8 @@ class TestPermanents:
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         cols = np.repeat(a, t, axis=1)
         table = np.array(enumerate_outcomes(m, sum(t)), dtype=np.uint8).reshape(-1, m)
-        together = boson_stats._glynn_sums(cols, table)
-        alone = [boson_stats._glynn_sums(cols, table[k:k + 1])[0] for k in range(len(table))]
+        together = boson_stats._glynn_sums(cols)
+        alone = [boson_stats._glynn_sums(cols, table[k])[0] for k in range(len(table))]
         assert np.array(alone) == pytest.approx(together, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("n", [16, 17])
@@ -177,14 +152,14 @@ class TestPermanents:
         rng = np.random.default_rng(n)
         u, v = rng.uniform(0.5, 1.5, 3) * np.exp(1j * rng.uniform(0, 6, 3)), rng.uniform(0.5, 1.5, n)
         table = np.array(enumerate_outcomes(3, n), dtype=np.uint8)
-        got = boson_stats._glynn_sums(np.outer(u, v), table)
+        got = boson_stats._glynn_sums(np.outer(u, v))
         expected = factorial(n) * np.prod(u ** table, axis=1) * np.prod(v)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_kernel_chunks_narrower_than_the_low_half(self, monkeypatch):
         # tall half tables (84 rows) shrink a chunk of sign vectors below the
         # low half's 2^(n // 2), so each chunk takes part of a row of them; the
-        # 462 outcomes are ranked 8 at a time
+        # 462 outcomes are gathered 8 at a time
         monkeypatch.setattr(boson_stats, "RYSER_CHUNK_ELEMENTS", 8)
         u = haar_unitary(6, seed=9)
         inputs = (1, 2, 0, 1, 1, 1)
@@ -242,6 +217,23 @@ class TestOutcomeProbability:
             outcome_probability(np.eye(2), (2, -1), (1, 0))
         with pytest.raises(ValueError, match="nonnegative"):
             outcome_probability(np.eye(2), (1, 0), (2, -1))
+
+    def test_fractional_occupations_rejected(self):
+        # int() would truncate them: (0.5, 1.5) became a one-boson input
+        u = haar_unitary(2, seed=1)
+        with pytest.raises(ValueError, match=re.escape("must be nonnegative integers, got (0.5, 1.5)")):
+            exact_distribution(u, (0.5, 1.5))
+        with pytest.raises(ValueError, match="must be nonnegative integers, got .1.7, 0"):
+            outcome_probability(u, (1.7, 0), (1, 0))
+        with pytest.raises(ValueError, match="must be nonnegative integers, got .1, nan"):
+            fock_oracle_distribution(u, (1, float("nan")))
+        with pytest.raises(ValueError, match="must be nonnegative integers, got .inf, 1"):
+            exact_distribution(u, (float("inf"), 1))
+        # integral floats and numpy integers are occupations, as check_samples takes them
+        assert outcome_probability(u, (1.0, np.int64(1)), np.array([2.0, 0.0])) == outcome_probability(
+            u, (1, 1), (2, 0))
+        np.testing.assert_array_equal(exact_distribution(u, (np.uint8(1), 1.0)).probabilities,
+                                      exact_distribution(u, (1, 1)).probabilities)
 
     def test_memory_follows_the_occupied_modes(self):
         # 13 bosons in 400 modes: the kernel's row sums over all 400 rows
@@ -336,6 +328,19 @@ class TestOutcomeTable:
         assert oracle.table is exact_distribution(u, (0, 2, 1, 0, 1)).table
         assert oracle.table is boson_stats._outcome_table(5, 4)
 
+    @pytest.mark.parametrize("inputs", [(1, 1, 0, 1, 0), (1,) * 6 + (0,) * 2])
+    def test_distribution_builds_no_table_of_its_own(self, monkeypatch, inputs):
+        # the kernel reads the half tables of w + 1 modes; the (M, N) table
+        # is first built when the distribution's table is read
+        m, n = len(inputs), sum(inputs)
+        built, table = [], boson_stats._outcome_table
+        table.cache_clear()
+        monkeypatch.setattr(boson_stats, "_outcome_table", lambda *key: built.append(key) or table(*key))
+        dist = exact_distribution(haar_unitary(m, seed=2), inputs)
+        assert built and (m, n) not in built
+        assert dist.table.shape == (comb(n + m - 1, n), m)
+        assert built[-1] == (m, n) and table.cache_info().misses == len(set(built))
+
     @pytest.mark.parametrize("m, n, size", [(2, 2, 2), (3, 2, 7), (1, 4, 0)])
     def test_probabilities_must_cover_every_outcome(self, m, n, size):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -415,7 +420,7 @@ class TestDistributions:
         # a NaN sum compares False against any tolerance; the check must not
         # pass it (the Fock lift overflows to inf and NaN at thousands of
         # bosons in two modes)
-        monkeypatch.setattr(boson_stats, "_probabilities", lambda u, table, t: np.full(len(table), np.nan))
+        monkeypatch.setattr(boson_stats, "_probabilities", lambda u, t, outcome=None: np.full(2, np.nan))
         with pytest.raises(RuntimeError, match="sums to 1[+]nan"):
             exact_distribution(np.eye(2), (1, 0))
 
@@ -491,13 +496,18 @@ class TestDistributions:
 
     def test_outcome_guard_bounds_the_table_entries(self):
         # M = 700, N = 2: 245 350 outcomes, under OUTCOME_MAX_COUNT, but a
-        # table of 1.7e8 entries
+        # table of 1.7e8 entries; exact_distribution refuses them before its
+        # unitarity check (U^dag U alone is 7.8 MB) and its half tables
         assert comb(701, 2) <= OUTCOME_MAX_COUNT
+        u = np.eye(700, dtype=complex)
         tracemalloc.start()
         try:
-            entries = re.escape(f"or {16 * OUTCOME_MAX_COUNT} table entries")
-            with pytest.raises(ValueError, match=f"exceed the outcome guard .*{entries}"):
+            entries = re.escape(f"245350 outcomes of 2 bosons in 700 modes exceed the outcome guard "
+                                f"{OUTCOME_MAX_COUNT} (or {16 * OUTCOME_MAX_COUNT} table entries)")
+            with pytest.raises(ValueError, match=entries):
                 enumerate_outcomes(700, 2)
+            with pytest.raises(ValueError, match=entries):
+                exact_distribution(u, (1, 1) + (0,) * 698)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -73,6 +73,14 @@ class TestTrapParams:
         with pytest.raises(ValueError):
             TrapParams(0.0, -1.0, 3)
 
+    @pytest.mark.parametrize("omega_x, omega_z", [(math.nan, 2 * np.pi * 0.3e6), (2 * np.pi * 1e6, math.nan),
+                                                  (math.inf, 2 * np.pi * 0.3e6)],
+                             ids=["nan-transverse", "nan-axial", "inf-transverse"])
+    def test_rejects_nonfinite_frequency(self, omega_x, omega_z):
+        # a NaN passes every comparison-based check and made NaN hopping rates
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrapParams(omega_x, omega_z, 4)
+
     def test_hopping_scale_value(self):
         # omega_z^2/(2 omega_x) for 0.5 MHz axial, 5 MHz transverse
         assert TRAP_KHZ.hopping_scale == pytest.approx(2 * np.pi * 25e3, rel=1e-12)
@@ -123,6 +131,12 @@ class TestCouplingMatrix:
     def test_validity_guard_trips_on_soft_trap(self):
         soft = TrapParams(2 * np.pi * 1e6, 2 * np.pi * 0.9e6, 4)
         chain = build_chain(soft)
+        with pytest.raises(ValidityError, match="validity"):
+            coupling_matrix(chain)
+
+    def test_validity_guard_trips_on_nan_rates(self):
+        # NaN positions give NaN rates, whose ratio a strict > would let through
+        chain = IonChain(stiff_trap(3), np.array([-1.0, np.nan, 1.0]))
         with pytest.raises(ValidityError, match="validity"):
             coupling_matrix(chain)
 

@@ -211,6 +211,9 @@ class TestDistanceAndSampling:
         np.testing.assert_array_equal(u1, u2)
         assert_unitary(u1, tol=1e-10)
 
+    def test_haar_takes_a_generator_as_its_seed(self):
+        np.testing.assert_array_equal(haar_unitary(6, np.random.default_rng(123)), haar_unitary(6, 123))
+
     def test_fourier_entries(self):
         m = 4
         u = fourier_unitary(m)
